@@ -46,18 +46,18 @@
 // results match the baseline.
 //
 // Scan mode: --scan [--repeats=N] measures honest-full-scan select
-// throughput with the batched HMAC match kernel enabled vs the scalar
-// per-word matcher, over identical ciphertext with the trapdoor index
-// off on both sides (every select really scans). Reports point and
-// ~1%-selectivity probes, the server-side split, per-query server heap
-// allocation counts (via the global operator-new hook below — the
-// kernel path's zero-per-word-allocation claim, measured), and the
-// kernel side's dbph_scan_match_evals_total delta; asserts results and
-// observation logs stay byte-identical across the A/B pair. The
-// acceptance bar for the kernel work is kernel point qps >= 5x the
-// honest-scan qps in the previously committed BENCH_e6.json at
-// --docs=100000 (the precomputed HMAC schedules accelerate the scalar
-// side too, so the in-binary A/B understates the total win).
+// throughput through the server's batched HMAC match kernel (trapdoor
+// index off, so every select really scans) against the scalar
+// reference matcher, swp::SearchDocument, swept directly over the same
+// stored ciphertext with the same shard split and pool size. Reports
+// point and ~1%-selectivity probes, the kernel's server-side split
+// (the scalar sweep is server-side work only, so server_speedup is the
+// like-for-like ratio), per-query heap allocation counts (via the
+// global operator-new hook below — the kernel path's
+// zero-per-word-allocation claim, measured), and the kernel side's
+// dbph_scan_match_evals_total delta; asserts the scalar sweep matches
+// the server's documents byte for byte and the client's results match
+// the plaintext table.
 //
 // Stats mode: --stats [--repeats=N] measures the observability layer
 // itself: point-select throughput with metrics on vs off over identical
@@ -93,7 +93,9 @@
 #include "net/net_server.h"
 #include "net/tcp_transport.h"
 #include "server/durable_store.h"
+#include "server/runtime/thread_pool.h"
 #include "server/untrusted_server.h"
+#include "swp/search.h"
 
 // Global heap-allocation counter, fed by replacing the throwing operator
 // new/delete pairs. Every mode pays one relaxed atomic increment per
@@ -704,32 +706,71 @@ int RunIndexBench(const ParallelBenchConfig& config) {
 // ------------- batched scan kernel vs scalar matcher (JSON mode) -------------
 
 int RunScanBench(const ParallelBenchConfig& config) {
-  // Identical DRBG seeds: both deployments hold byte-identical
-  // ciphertext. The trapdoor index is off on BOTH sides, so every
-  // select is an honest full scan — the access path the kernel
-  // accelerates; the only variable is the matcher implementation.
-  server::ServerRuntimeOptions scalar_options;
-  scalar_options.enable_trapdoor_index = false;
-  scalar_options.enable_scan_kernel = false;
-  server::ServerRuntimeOptions kernel_options;
-  kernel_options.enable_trapdoor_index = false;
-  kernel_options.enable_scan_kernel = true;
-  E6Deployment scalar(scalar_options);
-  E6Deployment kernel(kernel_options);
+  // The trapdoor index is off, so every select is an honest full scan
+  // through the server's batched kernel. The scalar side is the
+  // reference matcher itself: parse every stored document and run
+  // swp::SearchDocument on it, over the same ciphertext, split into the
+  // same number of shards on a pool of the same size. It has no client
+  // and no wire, so its A/B partner is the kernel's server-side time.
+  server::ServerRuntimeOptions options;
+  options.enable_trapdoor_index = false;
+  E6Deployment kernel(options);
 
-  std::fprintf(stderr, "outsourcing %zu documents twice...\n", config.docs);
+  std::fprintf(stderr, "outsourcing %zu documents...\n", config.docs);
   rel::Relation table = BenchTable(config.docs);
-  if (!scalar.client.Outsource(table).ok() ||
-      !kernel.client.Outsource(table).ok()) {
+  if (!kernel.client.Outsource(table).ok()) {
     std::fprintf(stderr, "outsource failed\n");
     return 1;
   }
+  auto scheme = kernel.client.SchemeFor("T");
+  auto stored = kernel.server.FetchRelation("T");
+  if (!scheme.ok() || !stored.ok()) {
+    std::fprintf(stderr, "fetch failed\n");
+    return 1;
+  }
+  std::vector<Bytes> stored_bytes(stored->size());
+  for (size_t i = 0; i < stored->size(); ++i) {
+    (*stored)[i].AppendTo(&stored_bytes[i]);
+  }
+  server::runtime::ThreadPool pool;
+  const size_t num_shards = std::min<size_t>(
+      4 * pool.num_threads(), std::max<size_t>(stored_bytes.size(), 1));
+
+  // Serialized matches of one scalar sweep, shard by shard in storage
+  // order; false when a stored document fails to parse.
+  auto scalar_sweep = [&](const swp::SwpParams& params,
+                          const swp::Trapdoor& trapdoor,
+                          std::vector<Bytes>* out) {
+    std::vector<std::vector<Bytes>> shard_matches(num_shards);
+    std::atomic<bool> ok{true};
+    const size_t n = stored_bytes.size();
+    pool.ParallelFor(num_shards, [&](size_t shard) {
+      const size_t begin = n * shard / num_shards;
+      const size_t end = n * (shard + 1) / num_shards;
+      for (size_t i = begin; i < end; ++i) {
+        ByteReader reader(stored_bytes[i]);
+        auto doc = swp::EncryptedDocument::ReadFrom(&reader);
+        if (!doc.ok()) {
+          ok = false;
+          return;
+        }
+        if (!swp::SearchDocument(params, trapdoor, *doc).empty()) {
+          shard_matches[shard].push_back(stored_bytes[i]);
+        }
+      }
+    });
+    out->clear();
+    for (auto& matches : shard_matches) {
+      for (Bytes& match : matches) out->push_back(std::move(match));
+    }
+    return ok.load();
+  };
 
   // The kernel side's PRF-evaluation counter, read back through the
   // kStats surface — the same number EXPLAIN and the slow-query log
   // report per query.
-  auto match_evals_total = [](E6Deployment* side) -> uint64_t {
-    auto snapshot = side->client.Stats();
+  auto match_evals_total = [&kernel]() -> uint64_t {
+    auto snapshot = kernel.client.Stats();
     if (!snapshot.ok()) return 0;
     auto it = snapshot->counters.find("dbph_scan_match_evals_total");
     return it == snapshot->counters.end() ? 0 : it->second;
@@ -747,32 +788,43 @@ int RunScanBench(const ParallelBenchConfig& config) {
 
   bool all_ok = true;
   for (const Probe& probe : probes) {
-    auto expected = scalar.client.Select("T", probe.attribute, probe.value);
-    auto warm = kernel.client.Select("T", probe.attribute, probe.value);
-    if (!expected.ok() || !warm.ok()) {
-      std::fprintf(stderr, "warm-up select failed\n");
+    auto query = (*scheme)->EncryptQuery("T", probe.attribute, probe.value);
+    auto expected = table.Select(probe.attribute, probe.value);
+    if (!query.ok() || !expected.ok()) {
+      std::fprintf(stderr, "probe setup failed\n");
       return 1;
     }
-    bool results_match = expected->SameTuples(*warm);
+    swp::SwpParams params;
+    params.word_length = query->trapdoor.target.size();
+    params.check_length = (*scheme)->options().check_length;
 
-    // Timed: `repeats` selects per side. End-to-end time includes the
-    // client decrypting every match (identical both sides); the
-    // server-side split isolates the matcher cost. Allocation deltas
-    // cover server dispatch only — client crypto allocates identically
-    // on both sides and would dilute the comparison.
-    scalar.server_seconds = 0;
-    scalar.server_allocs = 0;
+    // The server's answer (documents, storage order) is what the scalar
+    // sweep must reproduce byte for byte.
+    auto served = kernel.server.Select(*query);
+    if (!served.ok()) {
+      std::fprintf(stderr, "select failed\n");
+      return 1;
+    }
+    std::vector<Bytes> served_bytes(served->size());
+    for (size_t i = 0; i < served->size(); ++i) {
+      (*served)[i].AppendTo(&served_bytes[i]);
+    }
+
+    // Timed: `repeats` sweeps / selects per side. Allocation deltas
+    // cover the matcher (scalar) and server dispatch (kernel) only.
+    std::vector<Bytes> scalar_matches;
+    bool results_match = true;
+    uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
     Stopwatch scalar_timer;
     for (size_t i = 0; i < config.repeats; ++i) {
-      auto r = scalar.client.Select("T", probe.attribute, probe.value);
-      if (!r.ok()) return 1;
-      if (i == 0) results_match = results_match && r->SameTuples(*expected);
+      if (!scalar_sweep(params, query->trapdoor, &scalar_matches)) return 1;
+      if (i == 0) results_match = scalar_matches == served_bytes;
     }
     double scalar_seconds = scalar_timer.ElapsedSeconds();
-    double scalar_server_seconds = scalar.server_seconds;
-    uint64_t scalar_allocs = scalar.server_allocs;
+    uint64_t scalar_allocs =
+        g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
 
-    uint64_t evals_before = match_evals_total(&kernel);
+    uint64_t evals_before = match_evals_total();
     kernel.server_seconds = 0;
     kernel.server_allocs = 0;
     Stopwatch kernel_timer;
@@ -784,7 +836,7 @@ int RunScanBench(const ParallelBenchConfig& config) {
     double kernel_seconds = kernel_timer.ElapsedSeconds();
     double kernel_server_seconds = kernel.server_seconds;
     uint64_t kernel_allocs = kernel.server_allocs;
-    uint64_t kernel_evals = match_evals_total(&kernel) - evals_before;
+    uint64_t kernel_evals = match_evals_total() - evals_before;
 
     double scalar_qps = static_cast<double>(config.repeats) / scalar_seconds;
     double kernel_qps = static_cast<double>(config.repeats) / kernel_seconds;
@@ -801,29 +853,15 @@ int RunScanBench(const ParallelBenchConfig& config) {
         "\"results_match\":%s}\n",
         probe.label, config.docs, config.repeats, expected->size(),
         scalar_seconds, kernel_seconds, scalar_qps, kernel_qps,
-        kernel_qps / scalar_qps, scalar_server_seconds, kernel_server_seconds,
-        scalar_server_seconds / kernel_server_seconds,
+        kernel_qps / scalar_qps, scalar_seconds, kernel_server_seconds,
+        scalar_seconds / kernel_server_seconds,
         static_cast<double>(scalar_allocs) / repeats_d,
         static_cast<double>(kernel_allocs) / repeats_d,
         static_cast<unsigned long long>(kernel_evals),
         results_match ? "true" : "false");
     all_ok = all_ok && results_match;
   }
-
-  // Byte-identical observation logs across the whole run, entry by
-  // entry — the tentpole's A/B property, checked at real workload size.
-  const auto& scalar_log = scalar.server.observations().queries();
-  const auto& kernel_log = kernel.server.observations().queries();
-  bool log_match = scalar_log.size() == kernel_log.size();
-  for (size_t i = 0; log_match && i < scalar_log.size(); ++i) {
-    log_match =
-        scalar_log[i].relation == kernel_log[i].relation &&
-        scalar_log[i].trapdoor_bytes == kernel_log[i].trapdoor_bytes &&
-        scalar_log[i].matched_records == kernel_log[i].matched_records;
-  }
-  std::fprintf(stderr, "observation logs %s (%zu entries per side)\n",
-               log_match ? "identical" : "DIVERGED", scalar_log.size());
-  return (all_ok && log_match) ? 0 : 1;
+  return all_ok ? 0 : 1;
 }
 
 // ---------------- mutation throughput per fsync policy (JSON mode) -----------

@@ -3,8 +3,8 @@
 # ThreadSanitizer pass over the concurrency-sensitive suites (the server
 # is multithreaded in two layers: the net event loop and the batch worker
 # pool) and an AddressSanitizer pass over the planner/index suites (the
-# index borrows record ids and document bytes across mutations — exactly
-# the lifetime bugs ASan catches).
+# index and the snapshots share record ids and document chunks across
+# mutations — exactly the lifetime bugs ASan catches).
 #
 # Usage: scripts/ci.sh [build-dir]
 #   DBPH_TSAN=0       skip the ThreadSanitizer stage
@@ -94,14 +94,16 @@ run_tsan_stage() {
   # kernel dispatch resolves through a function-local static, and the
   # batched scan shares one MatchContext per shard across a pooled scan
   # wave — first-use races in either are TSan's to catch.
+  # mixed_batch_test serves read legs from freshly published snapshots
+  # and memoizes into the live index, all under one dispatch-lock hold.
   cmake --build "$tsan_dir" -j "$(nproc)" --target \
     runtime_test runtime_parallel_test net_frame_test net_server_test \
     net_interleave_test protocol_fuzz_test wal_recovery_test \
     differential_test server_persistence_test planner_test sql_test \
     obs_metrics_test obs_leakage_test concurrency_race_test \
-    swp_match_kernel_test crypto_hmac_test
+    swp_match_kernel_test crypto_hmac_test mixed_batch_test
   ctest --test-dir "$tsan_dir" --output-on-failure --no-tests=error \
-    -R 'runtime|net_|protocol_fuzz|wal_recovery|differential|server_persistence|planner|sql|obs_metrics|obs_leakage|concurrency_race|swp_match_kernel|crypto_hmac' \
+    -R 'runtime|net_|protocol_fuzz|wal_recovery|differential|server_persistence|planner|sql|obs_metrics|obs_leakage|concurrency_race|swp_match_kernel|crypto_hmac|mixed_batch' \
     -j "$(nproc)"
 }
 
@@ -123,7 +125,8 @@ run_asan_stage() {
   # the seal-overflow fallback rebuilds chunks around a discarded arena,
   # exactly where a stale ref would read out of bounds.
   cmake --build "$asan_dir" -j "$(nproc)" --target \
-    planner_test sql_test differential_test storage_heapfile_test \
+    planner_test sql_test mixed_batch_test differential_test \
+    storage_heapfile_test \
     integrity_test crypto_merkle_test protocol_fuzz_test \
     crypto_search_tree_test snapshot_seal_test \
     swp_match_kernel_test crypto_hmac_test

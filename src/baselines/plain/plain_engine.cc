@@ -25,7 +25,7 @@ Status PlainEngine::Insert(const rel::Tuple& tuple) {
   DBPH_RETURN_IF_ERROR(schema_.ValidateTuple(tuple.values()));
   Bytes serialized;
   tuple.AppendTo(&serialized);
-  storage::RecordId rid = heap_.Insert(serialized);
+  storage::RecordId rid = rows_.Insert(serialized);
   for (size_t i = 0; i < tuple.size(); ++i) {
     indexes_[i].Insert(IndexKey(tuple.at(i)), rid.Pack());
   }
@@ -34,7 +34,7 @@ Status PlainEngine::Insert(const rel::Tuple& tuple) {
 
 Result<rel::Tuple> PlainEngine::LoadTuple(uint64_t packed_rid) const {
   DBPH_ASSIGN_OR_RETURN(Bytes serialized,
-                        heap_.Get(storage::RecordId::Unpack(packed_rid)));
+                        rows_.Get(storage::RecordId::Unpack(packed_rid)));
   ByteReader reader(serialized);
   return rel::Tuple::ReadFrom(&reader);
 }
@@ -58,7 +58,7 @@ Result<rel::Relation> PlainEngine::SelectScan(const std::string& attribute,
   DBPH_ASSIGN_OR_RETURN(rel::ExactMatch predicate,
                         rel::MakeExactMatch(schema_, attribute, value));
   rel::Relation out("result", schema_);
-  for (const auto& rid : heap_.AllRecords()) {
+  for (const auto& rid : rows_.AllRecords()) {
     DBPH_ASSIGN_OR_RETURN(rel::Tuple tuple, LoadTuple(rid.Pack()));
     if (predicate.Evaluate(tuple)) {
       DBPH_RETURN_IF_ERROR(out.Insert(std::move(tuple)));
@@ -80,7 +80,7 @@ Result<size_t> PlainEngine::DeleteWhere(const std::string& attribute,
     for (size_t i = 0; i < tuple.size(); ++i) {
       indexes_[i].Delete(IndexKey(tuple.at(i)), packed);
     }
-    DBPH_RETURN_IF_ERROR(heap_.Delete(storage::RecordId::Unpack(packed)));
+    DBPH_RETURN_IF_ERROR(rows_.Delete(storage::RecordId::Unpack(packed)));
   }
   return rids.size();
 }

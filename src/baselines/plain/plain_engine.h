@@ -23,7 +23,7 @@ class PlainEngine {
   static Result<PlainEngine> Create(const rel::Relation& relation);
 
   const rel::Schema& schema() const { return schema_; }
-  size_t size() const { return heap_.num_records(); }
+  size_t size() const { return rows_.num_records(); }
 
   /// Index-backed exact select.
   Result<rel::Relation> Select(const std::string& attribute,
@@ -50,7 +50,7 @@ class PlainEngine {
 
   std::string name_;
   rel::Schema schema_;
-  storage::HeapFile heap_;
+  storage::HeapFile rows_;
   std::vector<storage::BPlusTree> indexes_;  // one per attribute
 };
 

@@ -54,7 +54,7 @@ struct DurableStoreOptions {
 /// log order always equals apply order, whatever raced on the wire.
 /// Replay re-dispatches the logged envelopes through HandleRequest:
 /// every handler is deterministic, so recovery rebuilds byte-identical
-/// state (heap layout and record ids included).
+/// state (record ids included).
 ///
 /// Records carry LSNs and the snapshot header stores the last LSN it
 /// covers; replay skips records at or below it. That closes the crash

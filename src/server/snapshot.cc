@@ -18,11 +18,19 @@ void SnapshotChunk::SetArenaCapForTesting(uint64_t cap) {
   g_arena_cap = cap;
 }
 
+std::shared_ptr<const SnapshotChunk> SnapshotChunk::Sealed(
+    std::vector<SnapshotDoc> docs) {
+  auto chunk = std::make_shared<SnapshotChunk>();
+  chunk->docs = std::move(docs);
+  chunk->Seal();
+  return chunk;
+}
+
 void SnapshotChunk::Seal() {
   pos_in_chunk.clear();
   pos_in_chunk.reserve(docs.size());
   for (size_t i = 0; i < docs.size(); ++i) {
-    pos_in_chunk.emplace(docs[i].rid_packed, static_cast<uint32_t>(i));
+    pos_in_chunk.emplace(docs[i].record_id, static_cast<uint32_t>(i));
   }
 
   // Build the scan arena: every word ciphertext copied into one
@@ -66,9 +74,16 @@ void SnapshotChunk::Seal() {
   }
 }
 
-uint64_t RelationSnapshot::PositionOf(uint64_t rid_packed) const {
+void DocumentChunks::AppendChunk(std::shared_ptr<const SnapshotChunk> chunk) {
+  if (chunk->docs.empty()) return;
+  chunk_first.push_back(num_docs);
+  num_docs += chunk->docs.size();
+  chunks.push_back(std::move(chunk));
+}
+
+uint64_t DocumentChunks::PositionOf(uint64_t record_id) const {
   for (size_t c = 0; c < chunks.size(); ++c) {
-    auto it = chunks[c]->pos_in_chunk.find(rid_packed);
+    auto it = chunks[c]->pos_in_chunk.find(record_id);
     if (it != chunks[c]->pos_in_chunk.end()) {
       return chunk_first[c] + it->second;
     }
@@ -76,7 +91,7 @@ uint64_t RelationSnapshot::PositionOf(uint64_t rid_packed) const {
   return kNotFound;
 }
 
-const SnapshotDoc& RelationSnapshot::doc(uint64_t position) const {
+const SnapshotDoc& DocumentChunks::doc(uint64_t position) const {
   // Find the chunk whose first position is the greatest <= position.
   size_t c = static_cast<size_t>(
       std::upper_bound(chunk_first.begin(), chunk_first.end(), position) -
@@ -84,36 +99,34 @@ const SnapshotDoc& RelationSnapshot::doc(uint64_t position) const {
   return chunks[c]->docs[position - chunk_first[c]];
 }
 
-Result<swp::EncryptedDocument> RelationSnapshot::ParseDoc(
+Result<swp::EncryptedDocument> DocumentChunks::ParseDoc(
     uint64_t position) const {
   ByteReader reader(doc(position).bytes);
   return swp::EncryptedDocument::ReadFrom(&reader);
 }
 
-Status RelationSnapshot::FetchPostings(const std::vector<uint64_t>& postings,
-                                       std::vector<SnapshotMatch>* out) const {
+Status DocumentChunks::FetchPostings(const std::vector<uint64_t>& postings,
+                                     std::vector<SnapshotMatch>* out) const {
   out->reserve(postings.size());
-  for (uint64_t packed : postings) {
-    uint64_t position = PositionOf(packed);
+  for (uint64_t record_id : postings) {
+    uint64_t position = PositionOf(record_id);
     if (position == kNotFound) {
       // Unreachable by construction: the frozen index and frozen
-      // documents come from the same critical section. Fail closed like
-      // a heap miss would on the locked path.
+      // documents come from the same critical section. Fail closed.
       return Status::NotFound("record not found");
     }
     DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument parsed, ParseDoc(position));
-    out->push_back({position, packed, std::move(parsed)});
+    out->push_back({position, record_id, std::move(parsed)});
   }
   return Status::OK();
 }
 
-Status RelationSnapshot::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
-                              runtime::ThreadPool* pool,
-                              std::vector<SnapshotMatch>* out,
-                              uint64_t* match_evals) const {
-  // Mirror runtime::ShardedRelation's balanced contiguous split so the
-  // per-shard work (and thus the match order: shard order = storage
-  // order) is identical to the locked scan path.
+Status DocumentChunks::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
+                            runtime::ThreadPool* pool,
+                            std::vector<SnapshotMatch>* out,
+                            uint64_t* match_evals) const {
+  // Balanced contiguous split: the first (n % num_shards) shards get one
+  // extra document, and shard order is storage order.
   const size_t n = num_docs;
   if (num_shards == 0) num_shards = 1;
   num_shards = std::min(num_shards, std::max<size_t>(n, 1));
@@ -136,9 +149,10 @@ Status RelationSnapshot::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
   std::vector<Status> shard_status(ranges.size(), Status::OK());
   std::vector<uint64_t> shard_evals(ranges.size(), 0);
 
-  // The reference scalar sweep over global positions [begin, end):
-  // parse every document, match every slot, keep matching documents in
-  // position order. The kernel path below is bit-identical to this.
+  // The scalar sweep over global positions [begin, end): parse every
+  // document, match every slot, keep matching documents in position
+  // order. Only chunks without an arena take it; the kernel sweep below
+  // is bit-identical to it.
   const auto scan_scalar = [&](size_t shard, size_t begin, size_t end) {
     auto& matches = shard_matches[shard];
     for (size_t pos = begin; pos < end; ++pos) {
@@ -149,7 +163,7 @@ Status RelationSnapshot::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
         return false;
       }
       if (!swp::SearchDocument(params, trapdoor, *parsed).empty()) {
-        matches.push_back({pos, doc(pos).rid_packed, std::move(*parsed)});
+        matches.push_back({pos, doc(pos).record_id, std::move(*parsed)});
       }
     }
     return true;
@@ -219,7 +233,7 @@ Status RelationSnapshot::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
             return;
           }
           matches.push_back(
-              {cbegin + w, chunk.docs[w].rid_packed, std::move(*parsed)});
+              {cbegin + w, chunk.docs[w].record_id, std::move(*parsed)});
         }
         d = e;
       }
@@ -228,17 +242,10 @@ Status RelationSnapshot::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
     shard_evals[shard] = context.match_evals();
   };
 
-  const auto scan_range = [&](size_t shard) {
-    if (use_scan_kernel) {
-      scan_kernel(shard);
-    } else {
-      scan_scalar(shard, ranges[shard].first, ranges[shard].second);
-    }
-  };
   if (pool != nullptr && ranges.size() > 1) {
-    pool->ParallelFor(ranges.size(), scan_range);
+    pool->ParallelFor(ranges.size(), scan_kernel);
   } else {
-    for (size_t i = 0; i < ranges.size(); ++i) scan_range(i);
+    for (size_t i = 0; i < ranges.size(); ++i) scan_kernel(i);
   }
 
   size_t total = 0;

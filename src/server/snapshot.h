@@ -20,40 +20,42 @@
 namespace dbph {
 namespace server {
 
-/// \brief Immutable published state for the snapshot (MVCC-style) read
-/// path: mutations run under the server's single-writer dispatch lock
-/// and, before acknowledging, publish a frozen copy of each touched
-/// relation via one atomic shared_ptr swap. Readers pin the current
-/// ServerSnapshot with a single acquire load and execute entirely
-/// against it — no dispatch lock, no borrowed storage views — so a
-/// racing append/delete can neither tear a result set nor splice a
-/// stale Merkle root under a proof.
+/// \brief The server's document store and the immutable published
+/// state its reads execute against (MVCC-style). Every stored document
+/// lives in exactly one place: a sealed SnapshotChunk, shared between the
+/// live relation and every published RelationSnapshot that contains it.
+/// Mutations run under the server's single-writer dispatch lock and,
+/// before acknowledging, publish a fresh ServerSnapshot via one pointer
+/// swap. Readers pin the current ServerSnapshot and execute entirely
+/// against it — no dispatch lock, no borrowed live state — so a racing
+/// append/delete can neither tear a result set nor splice a stale
+/// Merkle root under a proof.
 ///
-/// Everything here is deep-frozen at publish time: document bytes are
-/// OWNED copies (the heap file compacts pages in place, so borrowing
-/// record ids across a mutation is unsound), the trapdoor index is a
-/// value copy consulted only through its stats-free Peek, and the
-/// Merkle tree/epoch/attestation triple is the exact proof source the
-/// single-writer path would have used at the same state. Results and
-/// ResultProofs are byte-identical to the locked path by construction:
-/// same serialized bytes, same parse, same scan semantics, same tree.
+/// Chunks are immutable once sealed, so sharing them is sound; the
+/// trapdoor index is a value copy consulted only through its stats-free
+/// Peek, and the Merkle tree/epoch/attestation triple is the exact proof
+/// source the documents were published with.
 
-/// One stored ciphertext document frozen at publish time: its heap
-/// identity (what Eve correlates across results) plus the serialized
-/// bytes as stored — exactly what heap.Get would have returned.
+/// One stored ciphertext document: its record identity (what Eve
+/// correlates across results — a per-server counter, assigned at store
+/// or append and never reused) plus its serialized bytes.
 struct SnapshotDoc {
-  uint64_t rid_packed = 0;
+  uint64_t record_id = 0;
   Bytes bytes;
 };
 
 /// A contiguous run of documents in storage order. Chunks are shared
 /// between snapshot generations so an append publishes O(appended)
 /// new state (old chunks + one new chunk) instead of recopying the
-/// relation; deletes and stores rebuild a single chunk (they are O(n)
+/// relation; deletes and stores build a single chunk (they are O(n)
 /// operations already).
 struct SnapshotChunk {
+  /// Seals `docs` into a new immutable chunk.
+  static std::shared_ptr<const SnapshotChunk> Sealed(
+      std::vector<SnapshotDoc> docs);
+
   std::vector<SnapshotDoc> docs;
-  /// rid.Pack() -> index into docs; built once by Seal().
+  /// record_id -> index into docs; built once by Seal().
   std::unordered_map<uint64_t, uint32_t> pos_in_chunk;
 
   // ---- scan-kernel arena (built once by Seal(); see docs/ARCHITECTURE
@@ -87,19 +89,21 @@ struct SnapshotChunk {
   static void SetArenaCapForTesting(uint64_t cap);
 };
 
-/// One document matched by a snapshot select, in storage order: the
-/// global leaf position (for the proof), the record identity (for the
-/// observation log), and the parsed document (for the response).
+/// One document matched by a scan or posting fetch, in storage order:
+/// the global leaf position (for the proof), the record identity (for
+/// the observation log), and the parsed document (for the response).
 struct SnapshotMatch {
   uint64_t position = 0;
-  uint64_t rid_packed = 0;
+  uint64_t record_id = 0;
   swp::EncryptedDocument doc;
 };
 
-/// \brief One relation frozen at a publish point. Everything is
-/// immutable after construction; const methods are safe from any
-/// number of threads concurrently.
-class RelationSnapshot {
+/// \brief A relation's documents in storage order, as a list of sealed
+/// chunks. The live relation holds one (what the next publish shares)
+/// and every RelationSnapshot is one; copying it copies chunk pointers,
+/// never document bytes. Const methods are safe from any number of
+/// threads concurrently.
+class DocumentChunks {
  public:
   static constexpr uint64_t kNotFound = ~uint64_t{0};
 
@@ -108,10 +112,50 @@ class RelationSnapshot {
   std::vector<std::shared_ptr<const SnapshotChunk>> chunks;
   /// Global position of chunks[i].docs[0]; parallel to chunks.
   std::vector<uint64_t> chunk_first;
+
+  /// Appends `chunk`'s documents after the current last one. An empty
+  /// chunk is dropped, so every listed chunk holds a document.
+  void AppendChunk(std::shared_ptr<const SnapshotChunk> chunk);
+
+  /// record_id -> global leaf position; kNotFound when absent.
+  uint64_t PositionOf(uint64_t record_id) const;
+
+  /// The document at global position `position` (< num_docs).
+  const SnapshotDoc& doc(uint64_t position) const;
+
+  /// Parses the stored bytes at `position`.
+  Result<swp::EncryptedDocument> ParseDoc(uint64_t position) const;
+
+  /// Index-path fetch: resolves a memoized posting list (record ids,
+  /// storage order) to parsed documents + leaf positions. A snapshot's
+  /// frozen index and documents were copied in the same critical
+  /// section, so every posting resolves by construction.
+  Status FetchPostings(const std::vector<uint64_t>& postings,
+                       std::vector<SnapshotMatch>* out) const;
+
+  /// Scan-path execution: the full trapdoor scan, split into
+  /// `num_shards` balanced contiguous ranges run over `pool` (null runs
+  /// inline); matches come out in storage order whatever the split.
+  /// Each shard batches its PRF evaluations through one MatchContext
+  /// over the chunk arenas; a chunk whose arena could not be built
+  /// (see SnapshotChunk::arena_built) takes the per-document scalar
+  /// sweep, with bit-identical results. `match_evals`, when non-null,
+  /// accumulates the PRF evaluations performed (the per-query
+  /// accounting the obs stack exports).
+  Status Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
+              runtime::ThreadPool* pool, std::vector<SnapshotMatch>* out,
+              uint64_t* match_evals = nullptr) const;
+};
+
+/// \brief One relation frozen at a publish point: its documents plus
+/// the planner and proof state published with them. Everything is
+/// immutable after construction.
+class RelationSnapshot : public DocumentChunks {
+ public:
   /// Frozen copy of the relation's trapdoor index at publish time, or
   /// null when the runtime option disables the index. Readers consult
-  /// it only through Peek (stats-free); hit/miss accounting lives in
-  /// server-level atomics so the frozen copy stays truly immutable.
+  /// it only through Peek; hit/miss accounting lives in server-level
+  /// atomics so the frozen copy stays truly immutable.
   std::shared_ptr<const planner::TrapdoorIndex> index;
   /// Frozen Merkle tree (null when integrity is off) plus the epoch /
   /// attestation metadata proofs are built from. Pinning these with
@@ -136,50 +180,14 @@ class RelationSnapshot {
   /// attestation changes). Lets a reader's deferred scan-memoization
   /// prove its result still describes the live documents.
   uint64_t doc_generation = 0;
-  /// Total word slots across the relation (copied from the live
-  /// relation at publish, so locked and snapshot EXPLAIN agree) — the
-  /// predicted match_evals upper bound a full scan reports.
+  /// Total word slots across the relation — the predicted match_evals
+  /// a full scan reports (EXPLAIN).
   uint64_t word_slots = 0;
-  /// Whether Scan runs through the batched match kernel over the chunk
-  /// arenas (ServerRuntimeOptions::enable_scan_kernel at publish time).
-  /// Either way results, proofs, and observation entries are
-  /// byte-identical; this is purely an A/B performance switch.
-  bool use_scan_kernel = true;
-
-  /// rid.Pack() -> global leaf position; kNotFound when absent.
-  uint64_t PositionOf(uint64_t rid_packed) const;
-
-  /// The frozen document at global position `position` (< num_docs).
-  const SnapshotDoc& doc(uint64_t position) const;
-
-  /// Parses the frozen bytes at `position` — the snapshot twin of
-  /// runtime::ReadStoredDocument (same bytes, same parse).
-  Result<swp::EncryptedDocument> ParseDoc(uint64_t position) const;
-
-  /// Index-path fetch: resolves a memoized posting list (packed record
-  /// ids, storage order) to parsed documents + leaf positions. The
-  /// frozen index and frozen documents were copied in the same
-  /// critical section, so every posting resolves by construction.
-  Status FetchPostings(const std::vector<uint64_t>& postings,
-                       std::vector<SnapshotMatch>* out) const;
-
-  /// Scan-path execution: the sharded full trapdoor scan over the
-  /// frozen documents, mirroring runtime::ShardedRelation exactly
-  /// (same balanced contiguous split, same SwpParams, same match
-  /// predicate, storage order). `pool` null runs inline. When
-  /// use_scan_kernel is set the scan batches PRF evaluations through
-  /// one MatchContext per shard over the chunk arenas — results are
-  /// bit-identical to the scalar path, only faster. `match_evals`,
-  /// when non-null, accumulates the PRF evaluations the kernel
-  /// performed (the per-query accounting the obs stack exports).
-  Status Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
-              runtime::ThreadPool* pool, std::vector<SnapshotMatch>* out,
-              uint64_t* match_evals = nullptr) const;
 };
 
 /// \brief The whole server's published state: one frozen relation per
 /// name. Swapped wholesale (the map is small — shared_ptr copies) under
-/// the dispatch lock; loaded with one atomic acquire by readers.
+/// the dispatch lock; pinned by readers with one shared_ptr copy.
 struct ServerSnapshot {
   std::map<std::string, std::shared_ptr<const RelationSnapshot>> relations;
 };

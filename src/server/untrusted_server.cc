@@ -145,10 +145,12 @@ obs::Counter* UntrustedServer::OpCounter(protocol::MessageType type) {
   return counter;
 }
 
-void UntrustedServer::RecordRequestMetrics(
-    const obs::QueryTrace& trace, PendingRequestStat* cur,
-    protocol::MessageType request_type, protocol::MessageType response_type,
-    uint64_t handle_micros) {
+void UntrustedServer::RecordRequestMetrics(RequestScratch* scratch,
+                                           protocol::MessageType request_type,
+                                           protocol::MessageType response_type,
+                                           uint64_t handle_micros) {
+  const obs::QueryTrace& trace = scratch->trace;
+  PendingRequestStat* cur = &scratch->cur;
   cur->op = static_cast<uint8_t>(request_type);
   if (response_type == protocol::MessageType::kError) {
     cur->flags |= PendingRequestStat::kIsError;
@@ -236,53 +238,8 @@ void UntrustedServer::FlushPendingStatsLocked() {
   pending_count_ = 0;
 }
 
-void UntrustedServer::SetIndexGauges(
-    const planner::TrapdoorIndex::Stats& totals, int64_t trapdoors,
-    int64_t postings, int64_t at_capacity) {
-  // Snapshot readers consult frozen index copies through the stats-free
-  // Peek and count into the server-level atomics instead; the exported
-  // gauges are the sum of both worlds.
-  const uint64_t reader_hits =
-      reader_index_hits_.load(std::memory_order_relaxed);
-  const uint64_t reader_misses =
-      reader_index_misses_.load(std::memory_order_relaxed);
-  ins_.index_hits->Set(static_cast<int64_t>(totals.hits + reader_hits));
-  ins_.index_misses->Set(static_cast<int64_t>(totals.misses + reader_misses));
-  ins_.index_memoized->Set(static_cast<int64_t>(totals.memoized));
-  ins_.index_append_evals->Set(static_cast<int64_t>(totals.append_evals));
-  ins_.index_invalidations->Set(static_cast<int64_t>(totals.invalidations));
-  ins_.index_trapdoors->Set(trapdoors);
-  ins_.index_postings->Set(postings);
-  ins_.index_at_capacity->Set(at_capacity);
-  if (auditor_ != nullptr) auditor_->RefreshMetrics();
-}
-
-void UntrustedServer::RefreshGaugesLocked() {
-  // Every stats read folds staged request entries before snapshotting.
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    FlushPendingStatsLocked();
-  }
-  ins_.relations->Set(static_cast<int64_t>(relations_.size()));
-  planner::TrapdoorIndex::Stats totals;
-  int64_t trapdoors = 0;
-  int64_t postings = 0;
-  int64_t at_capacity = 0;
-  for (const auto& [name, stored] : relations_) {
-    const planner::TrapdoorIndex::Stats& stats = stored.index.stats();
-    totals.hits += stats.hits;
-    totals.misses += stats.misses;
-    totals.memoized += stats.memoized;
-    totals.append_evals += stats.append_evals;
-    totals.invalidations += stats.invalidations;
-    trapdoors += static_cast<int64_t>(stored.index.num_trapdoors());
-    postings += static_cast<int64_t>(stored.index.num_postings());
-    if (stored.index.AtCapacity()) ++at_capacity;
-  }
-  SetIndexGauges(totals, trapdoors, postings, at_capacity);
-}
-
 void UntrustedServer::RefreshGaugesFromSnapshot(const ServerSnapshot& snap) {
+  // Every stats read folds staged request entries before snapshotting.
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     FlushPendingStatsLocked();
@@ -295,8 +252,6 @@ void UntrustedServer::RefreshGaugesFromSnapshot(const ServerSnapshot& snap) {
   for (const auto& [name, rel] : snap.relations) {
     if (rel->index == nullptr) continue;
     const planner::TrapdoorIndex::Stats& stats = rel->index->stats();
-    totals.hits += stats.hits;
-    totals.misses += stats.misses;
     totals.memoized += stats.memoized;
     totals.append_evals += stats.append_evals;
     totals.invalidations += stats.invalidations;
@@ -304,7 +259,17 @@ void UntrustedServer::RefreshGaugesFromSnapshot(const ServerSnapshot& snap) {
     postings += static_cast<int64_t>(rel->index->num_postings());
     if (rel->index->AtCapacity()) ++at_capacity;
   }
-  SetIndexGauges(totals, trapdoors, postings, at_capacity);
+  ins_.index_hits->Set(static_cast<int64_t>(
+      reader_index_hits_.load(std::memory_order_relaxed)));
+  ins_.index_misses->Set(static_cast<int64_t>(
+      reader_index_misses_.load(std::memory_order_relaxed)));
+  ins_.index_memoized->Set(static_cast<int64_t>(totals.memoized));
+  ins_.index_append_evals->Set(static_cast<int64_t>(totals.append_evals));
+  ins_.index_invalidations->Set(static_cast<int64_t>(totals.invalidations));
+  ins_.index_trapdoors->Set(trapdoors);
+  ins_.index_postings->Set(postings);
+  ins_.index_at_capacity->Set(at_capacity);
+  if (auditor_ != nullptr) auditor_->RefreshMetrics();
 }
 
 obs::RegistrySnapshot UntrustedServer::CollectStats() {
@@ -333,87 +298,51 @@ void UntrustedServer::RecordQueryObservation(QueryObservation observation) {
 // ----------------------------------------------- snapshot publication
 
 void UntrustedServer::MarkDirtyLocked(StoredRelation* stored,
-                                      SnapshotDirty level) {
-  if (static_cast<uint8_t>(level) > static_cast<uint8_t>(stored->dirty)) {
-    stored->dirty = level;
-  }
-  if (level == SnapshotDirty::kAppend || level == SnapshotDirty::kFull) {
-    // Document state changed: new generation. kMeta (index/attestation
-    // motion) deliberately keeps the stamp, so a reader's deferred scan
-    // memoization stays valid across it.
+                                      bool documents_changed) {
+  stored->dirty = true;
+  if (documents_changed) {
+    // New document generation. Index/attestation motion deliberately
+    // keeps the stamp, so a reader's deferred scan memoization stays
+    // valid across it.
     stored->doc_generation = ++doc_generation_counter_;
   }
   snapshot_stale_ = true;
 }
 
-std::shared_ptr<const RelationSnapshot>
-UntrustedServer::BuildRelationSnapshotLocked(
-    const StoredRelation& stored) const {
-  auto rel = std::make_shared<RelationSnapshot>();
-  rel->check_length = stored.check_length;
-  rel->num_docs = stored.records.size();
-  auto chunk = std::make_shared<SnapshotChunk>();
-  chunk->docs.reserve(stored.records.size());
-  for (const auto& rid : stored.records) {
-    auto bytes = heap_.Get(rid);
-    // A heap miss is unreachable (records and heap mutate together
-    // under the dispatch lock); an empty doc fails closed at parse time.
-    chunk->docs.push_back({rid.Pack(), bytes.ok() ? std::move(*bytes)
-                                                  : Bytes{}});
+void UntrustedServer::SealPendingLocked(StoredRelation* stored) {
+  if (stored->pending_append.empty()) return;
+  DocumentChunks& docs = stored->docs;
+  if (docs.chunks.size() < kMaxSnapshotChunks) {
+    docs.AppendChunk(SnapshotChunk::Sealed(std::move(stored->pending_append)));
+  } else {
+    // An append stream that exhausted the chunk budget: coalesce the
+    // whole relation back into one chunk.
+    std::vector<SnapshotDoc> all;
+    all.reserve(stored->num_docs());
+    for (const auto& chunk : docs.chunks) {
+      all.insert(all.end(), chunk->docs.begin(), chunk->docs.end());
+    }
+    for (SnapshotDoc& doc : stored->pending_append) {
+      all.push_back(std::move(doc));
+    }
+    DocumentChunks coalesced;
+    coalesced.check_length = docs.check_length;
+    coalesced.AppendChunk(SnapshotChunk::Sealed(std::move(all)));
+    docs = std::move(coalesced);
   }
-  chunk->Seal();
-  rel->chunks.push_back(std::move(chunk));
-  rel->chunk_first.push_back(0);
-  if (runtime_options_.enable_trapdoor_index) {
-    rel->index = std::make_shared<const planner::TrapdoorIndex>(stored.index);
-  }
-  if (runtime_options_.enable_integrity) {
-    rel->tree = std::make_shared<const crypto::MerkleTree>(stored.tree);
-    rel->epoch = stored.epoch;
-    rel->attested_epoch = stored.attested_epoch;
-    rel->root_signature = stored.root_signature;
-    rel->search = std::make_shared<const crypto::SearchTree>(stored.search);
-    rel->search_signature = stored.search_signature;
-  }
-  rel->doc_generation = stored.doc_generation;
-  rel->word_slots = stored.word_slots;
-  rel->use_scan_kernel = runtime_options_.enable_scan_kernel;
-  return rel;
+  stored->pending_append.clear();
 }
 
 void UntrustedServer::PublishDirtyLocked() {
   if (!snapshot_stale_) return;
   auto next = std::make_shared<ServerSnapshot>();
   for (auto& [name, stored] : relations_) {
-    std::shared_ptr<const RelationSnapshot> rel;
-    if (stored.dirty == SnapshotDirty::kNone && stored.published != nullptr) {
-      rel = stored.published;
-    } else if (stored.published == nullptr ||
-               stored.dirty == SnapshotDirty::kFull ||
-               (stored.dirty == SnapshotDirty::kAppend &&
-                stored.published->chunks.size() + 1 > kMaxSnapshotChunks)) {
-      // First publish, arbitrary document churn, or an append stream
-      // that exhausted the chunk budget: coalesce back to one chunk.
-      rel = BuildRelationSnapshotLocked(stored);
-    } else {
-      // kMeta / kAppend: the existing document chunks are still exact —
-      // share them and refresh only what moved (appended docs as one new
-      // sealed chunk; index / tree / epoch / attestation copies).
+    if (stored.dirty) {
+      // The document chunks are shared, never copied; the index and the
+      // trees are frozen by value.
+      SealPendingLocked(&stored);
       auto fresh = std::make_shared<RelationSnapshot>();
-      const RelationSnapshot& old = *stored.published;
-      fresh->check_length = stored.check_length;
-      fresh->num_docs = old.num_docs;
-      fresh->chunks = old.chunks;
-      fresh->chunk_first = old.chunk_first;
-      if (stored.dirty == SnapshotDirty::kAppend &&
-          !stored.pending_append.empty()) {
-        auto chunk = std::make_shared<SnapshotChunk>();
-        chunk->docs = std::move(stored.pending_append);
-        chunk->Seal();
-        fresh->chunk_first.push_back(fresh->num_docs);
-        fresh->num_docs += chunk->docs.size();
-        fresh->chunks.push_back(std::move(chunk));
-      }
+      static_cast<DocumentChunks&>(*fresh) = stored.docs;
       if (runtime_options_.enable_trapdoor_index) {
         fresh->index =
             std::make_shared<const planner::TrapdoorIndex>(stored.index);
@@ -429,13 +358,10 @@ void UntrustedServer::PublishDirtyLocked() {
       }
       fresh->doc_generation = stored.doc_generation;
       fresh->word_slots = stored.word_slots;
-      fresh->use_scan_kernel = runtime_options_.enable_scan_kernel;
-      rel = std::move(fresh);
+      stored.published = std::move(fresh);
+      stored.dirty = false;
     }
-    stored.published = rel;
-    stored.dirty = SnapshotDirty::kNone;
-    stored.pending_append.clear();
-    next->relations.emplace(name, std::move(rel));
+    next->relations.emplace(name, stored.published);
   }
   // Swap in the new snapshot; the old one is released outside the
   // publish mutex so a slow snapshot destructor never blocks readers.
@@ -448,23 +374,29 @@ void UntrustedServer::PublishDirtyLocked() {
   snapshot_stale_ = false;
 }
 
+void UntrustedServer::MemoizeLocked(
+    const std::vector<MemoCandidate>& candidates) {
+  for (const MemoCandidate& candidate : candidates) {
+    auto it = relations_.find(candidate.relation);
+    if (it == relations_.end()) continue;
+    // The scan result describes the documents it read; it seeds the live
+    // index only while the live document state is still that generation
+    // (index/attestation churn in between is fine).
+    if (it->second.doc_generation != candidate.doc_generation) continue;
+    it->second.index.Memoize(candidate.trapdoor_bytes, candidate.trapdoor,
+                             candidate.postings);
+    MarkDirtyLocked(&it->second, /*documents_changed=*/false);
+  }
+}
+
 void UntrustedServer::TryMemoizeFromSnapshot(
-    const std::string& relation, const RelationSnapshot* pinned,
-    const Bytes& trapdoor_bytes, const swp::Trapdoor& trapdoor,
-    const std::vector<uint64_t>& postings) {
-  if (!runtime_options_.enable_trapdoor_index) return;
+    const std::vector<MemoCandidate>& candidates) {
+  if (candidates.empty()) return;
   // Best-effort only: a contended writer wins and we simply don't
   // memoize (the next scan of this trapdoor gets another chance).
   std::unique_lock<std::mutex> lock(dispatch_mutex_, std::try_to_lock);
   if (!lock.owns_lock()) return;
-  auto it = relations_.find(relation);
-  if (it == relations_.end()) return;
-  // The scan result describes the pinned snapshot's documents; it seeds
-  // the live index only while the live document state is still that
-  // generation (index/attestation churn in between is fine).
-  if (it->second.doc_generation != pinned->doc_generation) return;
-  it->second.index.Memoize(trapdoor_bytes, trapdoor, postings);
-  MarkDirtyLocked(&it->second, SnapshotDirty::kMeta);
+  MemoizeLocked(candidates);
   PublishDirtyLocked();
 }
 
@@ -485,31 +417,29 @@ Status UntrustedServer::StoreRelationLocked(
                                  "' already stored");
   }
   StoredRelation stored;
-  stored.check_length = relation.check_length;
+  stored.docs.check_length = relation.check_length;
   if (runtime_options_.enable_integrity && search_entries != nullptr) {
     // Validate (and adopt) the owner's search structure BEFORE any
-    // document reaches the heap: a malformed section rejects the whole
-    // store with nothing half-applied.
+    // document is stored: a malformed section rejects the whole store
+    // with nothing half-applied.
     DBPH_RETURN_IF_ERROR(
         stored.search.Assign(*search_entries, relation.documents.size()));
   }
   stored.index.set_max_trapdoors(runtime_options_.max_indexed_trapdoors);
   stored.index.set_max_append_evals(runtime_options_.max_index_append_evals);
-  stored.records.reserve(relation.documents.size());
   const bool integrity = runtime_options_.enable_integrity;
   std::vector<crypto::MerkleTree::Hash> leaves;
   if (integrity) leaves.reserve(relation.documents.size());
+  std::vector<SnapshotDoc> docs;
+  docs.reserve(relation.documents.size());
   for (const auto& doc : relation.documents) {
     Bytes serialized;
     doc.AppendTo(&serialized);
-    storage::RecordId rid = heap_.Insert(serialized);
-    if (integrity) {
-      stored.position_of[rid.Pack()] = stored.records.size();
-      leaves.push_back(crypto::MerkleTree::LeafHash(serialized));
-    }
-    stored.records.push_back(rid);
+    if (integrity) leaves.push_back(crypto::MerkleTree::LeafHash(serialized));
     stored.word_slots += doc.words.size();
+    docs.push_back({next_record_id_++, std::move(serialized)});
   }
+  stored.docs.AppendChunk(SnapshotChunk::Sealed(std::move(docs)));
   if (integrity) {
     stored.tree.Assign(std::move(leaves));
     stored.epoch = 1;
@@ -517,7 +447,7 @@ Status UntrustedServer::StoreRelationLocked(
   RecordStoreObservation(relation.name, relation.documents.size(),
                          relation.CiphertextBytes());
   auto [it, inserted] = relations_.emplace(relation.name, std::move(stored));
-  MarkDirtyLocked(&it->second, SnapshotDirty::kFull);
+  MarkDirtyLocked(&it->second, /*documents_changed=*/true);
   return Status::OK();
 }
 
@@ -532,9 +462,6 @@ Status UntrustedServer::DropRelationLocked(const std::string& name) {
   auto it = relations_.find(name);
   if (it == relations_.end()) {
     return Status::NotFound("relation '" + name + "' not stored");
-  }
-  for (const auto& rid : it->second.records) {
-    DBPH_RETURN_IF_ERROR(heap_.Delete(rid));
   }
   relations_.erase(it);
   snapshot_stale_ = true;  // the next publish simply omits the relation
@@ -607,16 +534,15 @@ Status UntrustedServer::AttestRootLocked(
   }
   it->second.attested_epoch = epoch;
   it->second.root_signature = signature;
-  MarkDirtyLocked(&it->second, SnapshotDirty::kMeta);
+  MarkDirtyLocked(&it->second, /*documents_changed=*/false);
   if (runtime_options_.enable_metrics) ins_.attestations->Add();
   return Status::OK();
 }
 
 namespace {
 
-/// The shared proof constructor: both the locked path (live tree) and
-/// the snapshot path (frozen tree) produce proofs through this, so the
-/// two are byte-identical at equal state by construction.
+/// The proof for a result set of `positions` (sorted, storage order)
+/// against a published tree/epoch/attestation.
 protocol::ResultProof BuildProofFromParts(const crypto::MerkleTree& tree,
                                           uint64_t epoch,
                                           uint64_t attested_epoch,
@@ -634,9 +560,9 @@ protocol::ResultProof BuildProofFromParts(const crypto::MerkleTree& tree,
   return proof;
 }
 
-/// The completeness twin of BuildProofFromParts: both access paths build
-/// the CompletenessProof for a queried tag from the same frozen parts,
-/// so the two are byte-identical at equal state by construction.
+/// The completeness twin of BuildProofFromParts: the CompletenessProof
+/// for a queried tag against a published search tree, whichever access
+/// path answered the select.
 protocol::CompletenessProof BuildCompletenessFromParts(
     const crypto::SearchTree& search, uint64_t epoch, uint64_t attested_epoch,
     const Bytes& search_signature, const crypto::MerkleTree::Hash& tag) {
@@ -659,12 +585,6 @@ protocol::CompletenessProof BuildCompletenessFromParts(
 
 }  // namespace
 
-protocol::ResultProof UntrustedServer::BuildProof(
-    const StoredRelation& stored, std::vector<uint64_t> positions) const {
-  return BuildProofFromParts(stored.tree, stored.epoch, stored.attested_epoch,
-                             stored.root_signature, std::move(positions));
-}
-
 runtime::ThreadPool* UntrustedServer::pool() {
   // Concurrent snapshot readers race to the first scan; call_once makes
   // the lazy spawn safe without taxing the steady state.
@@ -679,148 +599,26 @@ size_t UntrustedServer::ShardCount() {
   return 4 * pool()->num_threads();
 }
 
-planner::ExecutionContext UntrustedServer::ContextFor(StoredRelation* stored) {
-  planner::ExecutionContext ctx;
-  ctx.heap = &heap_;
-  ctx.records = &stored->records;
-  ctx.check_length = stored->check_length;
-  ctx.num_shards = ShardCount();
-  ctx.index =
-      runtime_options_.enable_trapdoor_index ? &stored->index : nullptr;
-  ctx.word_slots = stored->word_slots;
-  ctx.use_scan_kernel = runtime_options_.enable_scan_kernel;
-  return ctx;
-}
-
 std::vector<Result<std::vector<swp::EncryptedDocument>>>
 UntrustedServer::SelectBatch(const std::vector<core::EncryptedQuery>& queries) {
   std::shared_ptr<const ServerSnapshot> snap = PinSnapshot();
+  RequestScratch scratch;
   std::vector<SnapshotSelectOutcome> outcomes =
-      SnapshotSelectBatch(*snap, queries, /*scratch=*/nullptr);
+      SnapshotSelectBatch(*snap, queries, &scratch);
   std::vector<Result<std::vector<swp::EncryptedDocument>>> results;
   results.reserve(outcomes.size());
   for (SnapshotSelectOutcome& outcome : outcomes) {
     results.push_back(std::move(outcome.docs));
   }
-  return results;
-}
-
-std::vector<UntrustedServer::SelectOutcome>
-UntrustedServer::SelectBatchInternal(
-    const std::vector<core::EncryptedQuery>& queries) {
-  // Resolve each query's relation into a planner task; unresolved
-  // queries carry their error through the pipeline untouched.
-  std::vector<planner::SelectTask> tasks(queries.size());
-  std::vector<StoredRelation*> resolved(queries.size(), nullptr);
-  bool any_resolved = false;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto it = relations_.find(queries[i].relation);
-    if (it == relations_.end()) {
-      tasks[i].resolution =
-          Status::NotFound("relation '" + queries[i].relation + "' not stored");
-      continue;
-    }
-    tasks[i].ctx = ContextFor(&it->second);
-    tasks[i].query = &queries[i];
-    resolved[i] = &it->second;
-    any_resolved = true;
-  }
-
-  const bool timed = runtime_options_.enable_metrics;
-  planner::PlanExecutor executor(any_resolved ? pool() : nullptr);
-  planner::PlanExecutor::ExecuteTiming timing;
-  std::vector<planner::PlannedOutcome> outcomes =
-      executor.Execute(tasks, timed ? &timing : nullptr);
-  if (timed) {
-    trace_.plan_micros += timing.plan_micros;
-    trace_.execute_micros += timing.index_fetch_micros + timing.scan_micros;
-    trace_.execute_index_micros += timing.index_fetch_micros;
-    trace_.execute_scan_micros += timing.scan_micros;
-    cur_.flags |= PendingRequestStat::kRanPipeline;
-    cur_.plan_micros += SaturateU32(timing.plan_micros);
-    if (timing.index_queries > 0) {
-      trace_.used_index = true;
-      cur_.flags |= PendingRequestStat::kUsedIndex;
-      cur_.index_queries += SaturateU32(timing.index_queries);
-      cur_.execute_index_micros += SaturateU32(timing.index_fetch_micros);
-    }
-    if (timing.scan_queries > 0) {
-      cur_.flags |= PendingRequestStat::kUsedScan;
-      cur_.scan_queries += SaturateU32(timing.scan_queries);
-      cur_.execute_scan_micros += SaturateU32(timing.scan_micros);
-      trace_.match_evals += timing.match_evals;
-      cur_.match_evals += SaturateU32(timing.match_evals);
-    }
-    if (trace_.relation.empty() && !queries.empty()) {
-      trace_.relation = queries.front().relation;
-    }
-  }
-  if (runtime_options_.enable_trapdoor_index) {
-    // The pipeline consulted (and possibly memoized into) each resolved
-    // relation's live index, so the frozen copies readers see must be
-    // refreshed when this locked request completes.
-    for (StoredRelation* stored : resolved) {
-      if (stored != nullptr) MarkDirtyLocked(stored, SnapshotDirty::kMeta);
-    }
-  }
-
-  // Logging happens here, on the dispatch thread, in query order — the
-  // log is indistinguishable from the same selects arriving one by one,
-  // and (by the pipeline's contract) from a sequential scan regardless
-  // of the access path each query took.
-  const bool integrity = runtime_options_.enable_integrity;
-  std::vector<SelectOutcome> results(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (!tasks[i].resolution.ok()) {
-      results[i].docs = tasks[i].resolution;
-      continue;
-    }
-    if (!outcomes[i].status.ok()) {
-      results[i].docs = outcomes[i].status;
-      continue;
-    }
-    QueryObservation observation;
-    observation.relation = queries[i].relation;
-    queries[i].trapdoor.AppendTo(&observation.trapdoor_bytes);
-    if (integrity) {
-      results[i].tag =
-          crypto::SearchTree::TagDigest(observation.trapdoor_bytes);
-      results[i].has_tag = true;
-    }
-    std::vector<swp::EncryptedDocument> docs;
-    docs.reserve(outcomes[i].matches.size());
-    for (runtime::ShardMatch& match : outcomes[i].matches) {
-      observation.matched_records.push_back(match.rid.Pack());
-      if (integrity) {
-        // Matches arrive in storage order (the pipeline's contract), so
-        // these leaf positions come out sorted — exactly what the proof
-        // builder and the verifier's recursion expect.
-        results[i].positions.push_back(
-            resolved[i]->position_of.at(match.rid.Pack()));
-      }
-      docs.push_back(std::move(match.doc));
-    }
-    if (auditor_ != nullptr) {
-      // The auditor consumes exactly what the observation entry records:
-      // relation, trapdoor bytes (digested immediately), matched count,
-      // and which access path answered.
-      auditor_->RecordQuery(
-          queries[i].relation, observation.trapdoor_bytes, docs.size(),
-          outcomes[i].plan.path == planner::AccessPath::kIndexLookup);
-    }
-    RecordQueryObservation(std::move(observation));
-    if (timed) trace_.result_size += docs.size();
-    results[i].docs = std::move(docs);
-    results[i].stored = resolved[i];
-  }
+  TryMemoizeFromSnapshot(scratch.memo);
   return results;
 }
 
 std::vector<UntrustedServer::SnapshotSelectOutcome>
 UntrustedServer::SnapshotSelectBatch(
     const ServerSnapshot& snap, const std::vector<core::EncryptedQuery>& queries,
-    ReadScratch* scratch) {
-  const bool timed = scratch != nullptr && runtime_options_.enable_metrics;
+    RequestScratch* scratch) {
+  const bool timed = runtime_options_.enable_metrics;
   using SteadyClock = Stopwatch::Clock;
 
   struct QueryState {
@@ -835,8 +633,8 @@ UntrustedServer::SnapshotSelectBatch(
   std::vector<QueryState> states(queries.size());
   std::vector<SnapshotSelectOutcome> results(queries.size());
 
-  // ---- plan: resolve + consult the frozen index (stats-free Peek;
-  // hit/miss accounting goes to the server-level reader atomics) ----
+  // ---- plan: resolve + consult the frozen index (Peek; hit/miss
+  // accounting goes to the server-level reader atomics) ----
   SteadyClock::time_point plan_start{};
   if (timed) plan_start = SteadyClock::now();
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -893,13 +691,16 @@ UntrustedServer::SnapshotSelectBatch(
       continue;
     }
     if (st.will_memoize) {
-      std::vector<uint64_t> postings;
-      postings.reserve(st.matches.size());
+      MemoCandidate candidate;
+      candidate.relation = queries[i].relation;
+      candidate.doc_generation = st.rel->doc_generation;
+      candidate.trapdoor_bytes = st.trapdoor_bytes;
+      candidate.trapdoor = queries[i].trapdoor;
+      candidate.postings.reserve(st.matches.size());
       for (const SnapshotMatch& match : st.matches) {
-        postings.push_back(match.rid_packed);
+        candidate.postings.push_back(match.record_id);
       }
-      TryMemoizeFromSnapshot(queries[i].relation, st.rel, st.trapdoor_bytes,
-                             queries[i].trapdoor, postings);
+      scratch->memo.push_back(std::move(candidate));
     }
   }
   SteadyClock::time_point scan_end{};
@@ -949,7 +750,7 @@ UntrustedServer::SnapshotSelectBatch(
     std::vector<swp::EncryptedDocument> docs;
     docs.reserve(st.matches.size());
     for (SnapshotMatch& match : st.matches) {
-      observation.matched_records.push_back(match.rid_packed);
+      observation.matched_records.push_back(match.record_id);
       if (st.rel->tree != nullptr) {
         results[i].positions.push_back(match.position);
       }
@@ -968,8 +769,8 @@ UntrustedServer::SnapshotSelectBatch(
 
   // ---- log: one short critical section for the whole batch, entries
   // in query order (the batch transcribes exactly like the same selects
-  // arriving one by one). On the read path the lock-wait metric means
-  // THIS wait — the only lock a snapshot read contends on.
+  // arriving one by one). On the lock-free read path the lock-wait
+  // metric means THIS wait — the only lock such a read contends on.
   if (!observations.empty()) {
     SteadyClock::time_point lock_start{};
     if (timed) lock_start = SteadyClock::now();
@@ -1000,9 +801,8 @@ Result<protocol::PlanReport> UntrustedServer::ExplainFromSnapshot(
   const RelationSnapshot& rel = *it->second;
   Bytes trapdoor_bytes;
   query.trapdoor.AppendTo(&trapdoor_bytes);
-  // Mirrors planner::PlanSelect + MakePlanReport against the frozen
-  // state (EXPLAIN is plan-only on both paths: the stats-free Peek,
-  // nothing executed, nothing logged).
+  // Plan-only: the index's Peek decides the path; nothing is executed,
+  // counted or logged.
   protocol::PlanReport report;
   report.relation = query.relation;
   report.num_records = static_cast<uint32_t>(rel.num_docs);
@@ -1041,13 +841,14 @@ Status UntrustedServer::AppendTuplesLocked(
   if (it == relations_.end()) {
     return Status::NotFound("relation '" + name + "' not stored");
   }
+  StoredRelation& stored = it->second;
   size_t bytes = 0;
   const bool integrity = runtime_options_.enable_integrity;
   if (integrity && search_delta != nullptr) {
-    // All-or-nothing, BEFORE any document reaches the heap: a malformed
-    // delta rejects the append with both trees untouched.
-    const uint64_t begin = it->second.records.size();
-    DBPH_RETURN_IF_ERROR(it->second.search.ApplyAppendDelta(
+    // All-or-nothing, BEFORE any document is stored: a malformed delta
+    // rejects the append with both trees untouched.
+    const uint64_t begin = stored.num_docs();
+    DBPH_RETURN_IF_ERROR(stored.search.ApplyAppendDelta(
         *search_delta, begin, begin + documents.size()));
   }
   std::vector<std::pair<uint64_t, const swp::EncryptedDocument*>> added;
@@ -1056,123 +857,109 @@ Status UntrustedServer::AppendTuplesLocked(
     Bytes serialized;
     doc.AppendTo(&serialized);
     bytes += serialized.size();
-    storage::RecordId rid = heap_.Insert(serialized);
+    const uint64_t record_id = next_record_id_++;
     if (integrity) {
-      it->second.position_of[rid.Pack()] = it->second.records.size();
-      it->second.tree.AppendLeaf(crypto::MerkleTree::LeafHash(serialized));
+      stored.tree.AppendLeaf(crypto::MerkleTree::LeafHash(serialized));
     }
-    it->second.records.push_back(rid);
-    it->second.word_slots += doc.words.size();
-    added.emplace_back(rid.Pack(), &doc);
-    // The same bytes the heap holds, staged so the publish is
-    // O(appended): old chunks shared, these become one new chunk.
-    it->second.pending_append.push_back({rid.Pack(), std::move(serialized)});
+    stored.word_slots += doc.words.size();
+    added.emplace_back(record_id, &doc);
+    // Staged so the publish is O(appended): old chunks shared, these
+    // become one new chunk.
+    stored.pending_append.push_back({record_id, std::move(serialized)});
   }
   // Every append (even an empty one) is an epoch: the client mirrors the
   // same rule, so epochs agree without a negotiation round trip.
-  if (integrity) ++it->second.epoch;
+  if (integrity) ++stored.epoch;
   if (runtime_options_.enable_trapdoor_index) {
     // Keep memoized posting lists exact: evaluate every cached trapdoor
     // against just the new documents (what an Eve replaying her log
     // would do) so a later index-path select equals a fresh full scan.
-    it->second.index.OnAppend(it->second.check_length, added);
+    stored.index.OnAppend(stored.docs.check_length, added);
   }
   RecordStoreObservation(name, documents.size(), bytes);
-  MarkDirtyLocked(&it->second, SnapshotDirty::kAppend);
+  MarkDirtyLocked(&stored, /*documents_changed=*/true);
   return Status::OK();
 }
 
 Result<size_t> UntrustedServer::DeleteWhere(
     const core::EncryptedQuery& query) {
   std::lock_guard<std::mutex> lock(dispatch_mutex_);
-  auto removed = DeleteWhereInternal(query, /*removed_out=*/nullptr);
+  RequestScratch scratch;
+  auto removed = DeleteWhereInternal(query, /*removed_out=*/nullptr, &scratch);
   PublishDirtyLocked();
   return removed;
 }
 
 Result<size_t> UntrustedServer::DeleteWhereInternal(
     const core::EncryptedQuery& query,
-    std::vector<std::pair<uint64_t, Bytes>>* removed_out) {
+    std::vector<std::pair<uint64_t, Bytes>>* removed_out,
+    RequestScratch* scratch) {
   auto it = relations_.find(query.relation);
   if (it == relations_.end()) {
     return Status::NotFound("relation '" + query.relation + "' not stored");
   }
+  StoredRelation& stored = it->second;
   const bool integrity = runtime_options_.enable_integrity;
-  swp::SwpParams params;
-  params.word_length = query.trapdoor.target.size();
-  params.check_length = it->second.check_length;
+
+  // The same sharded scan a select runs, over every stored document
+  // (pending appends sealed first). It fails before anything changes,
+  // so a corrupt document cannot leave a half-applied delete.
+  SealPendingLocked(&stored);
+  std::vector<SnapshotMatch> matches;
+  uint64_t match_evals = 0;
+  DBPH_RETURN_IF_ERROR(stored.docs.Scan(query.trapdoor, ShardCount(), pool(),
+                                        &matches, &match_evals));
 
   QueryObservation observation;
   observation.relation = query.relation;
   query.trapdoor.AppendTo(&observation.trapdoor_bytes);
-
-  // One precomputed schedule for the whole delete scan. A delete only
-  // observes membership (never which slot matched), so the kernel path
-  // may short-circuit a document at its first matching word — the kept
-  // set, observation entry, and manifest are identical to the scalar
-  // sweep.
-  const bool use_kernel = runtime_options_.enable_scan_kernel;
-  swp::MatchContext context(params, query.trapdoor);
-  std::vector<storage::RecordId> kept;
+  // Pre-delete leaf positions, in storage order: the manifest the client
+  // checks against its own tree before mirroring the removal.
   std::vector<uint64_t> removed_positions;
-  size_t position = 0;
-  size_t removed = 0;
-  for (const auto& rid : it->second.records) {
-    DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument doc,
-                          runtime::ReadStoredDocument(heap_, rid));
-    bool matched;
-    if (use_kernel) {
-      matched = false;
-      for (const Bytes& word : doc.words) {
-        if (context.Matches(word)) {
-          matched = true;
-          break;
-        }
+  for (const SnapshotMatch& match : matches) {
+    observation.matched_records.push_back(match.record_id);
+    stored.word_slots -= match.doc.words.size();
+    if (integrity) {
+      removed_positions.push_back(match.position);
+      if (removed_out != nullptr) {
+        removed_out->emplace_back(match.position,
+                                  stored.docs.doc(match.position).bytes);
       }
-    } else {
-      matched = !swp::SearchDocument(params, query.trapdoor, doc).empty();
     }
-    if (!matched) {
-      kept.push_back(rid);
-    } else {
-      observation.matched_records.push_back(rid.Pack());
-      if (integrity) {
-        // Pre-delete leaf positions, in storage order: the manifest the
-        // client checks against its own tree before mirroring the
-        // removal.
-        removed_positions.push_back(position);
-        if (removed_out != nullptr) {
-          Bytes serialized;
-          doc.AppendTo(&serialized);
-          removed_out->emplace_back(position, std::move(serialized));
-        }
-      }
-      DBPH_RETURN_IF_ERROR(heap_.Delete(rid));
-      it->second.word_slots -= doc.words.size();
-      ++removed;
-    }
-    ++position;
   }
-  it->second.records = std::move(kept);
+  const size_t removed = matches.size();
+  if (removed > 0) {
+    // The survivors, in storage order, become the relation's one chunk.
+    std::vector<SnapshotDoc> kept;
+    kept.reserve(stored.docs.num_docs - removed);
+    size_t next_match = 0;
+    for (const auto& chunk : stored.docs.chunks) {
+      for (const SnapshotDoc& doc : chunk->docs) {
+        if (next_match < removed &&
+            matches[next_match].record_id == doc.record_id) {
+          ++next_match;
+          continue;
+        }
+        kept.push_back(doc);
+      }
+    }
+    DocumentChunks survivors;
+    survivors.check_length = stored.docs.check_length;
+    survivors.AppendChunk(SnapshotChunk::Sealed(std::move(kept)));
+    stored.docs = std::move(survivors);
+  }
   if (runtime_options_.enable_metrics) {
-    trace_.relation = query.relation;
-    trace_.result_size += removed;
-    trace_.match_evals += context.match_evals();
-    cur_.match_evals += SaturateU32(context.match_evals());
+    scratch->trace.relation = query.relation;
+    scratch->trace.result_size += removed;
+    scratch->trace.match_evals += match_evals;
+    scratch->cur.match_evals += SaturateU32(match_evals);
   }
   if (integrity) {
-    it->second.tree.RemoveSorted(removed_positions);
+    stored.tree.RemoveSorted(removed_positions);
     // Both sides apply the identical transform from the (verified)
     // manifest positions, so the search roots stay in lockstep.
-    it->second.search.ApplyDelete(removed_positions);
-    ++it->second.epoch;
-    if (removed > 0) {
-      // Surviving leaves shifted left; rebuild the rid → position map.
-      it->second.position_of.clear();
-      for (size_t i = 0; i < it->second.records.size(); ++i) {
-        it->second.position_of[it->second.records[i].Pack()] = i;
-      }
-    }
+    stored.search.ApplyDelete(removed_positions);
+    ++stored.epoch;
   }
   if (runtime_options_.enable_trapdoor_index) {
     // Deleted records leave every posting list (an already-memoized
@@ -1180,7 +967,7 @@ Result<size_t> UntrustedServer::DeleteWhereInternal(
     // what a rescan would find). The delete's trapdoor is deliberately
     // NOT memoized fresh: delete traffic would otherwise fill the
     // capped memo with entries only selects repay.
-    it->second.index.OnDelete(observation.matched_records);
+    stored.index.OnDelete(observation.matched_records);
   }
   if (auditor_ != nullptr) {
     // Deletes leak exactly like selects (matched identities via a full
@@ -1189,10 +976,9 @@ Result<size_t> UntrustedServer::DeleteWhereInternal(
                           /*used_index=*/false);
   }
   RecordQueryObservation(std::move(observation));
-  // A match-less delete still moved the epoch (and possibly index
-  // stats); with matches the document set itself changed.
-  MarkDirtyLocked(&it->second,
-                  removed > 0 ? SnapshotDirty::kFull : SnapshotDirty::kMeta);
+  // A match-less delete still moved the epoch; with matches the
+  // document set itself changed.
+  MarkDirtyLocked(&stored, /*documents_changed=*/removed > 0);
   return removed;
 }
 
@@ -1213,33 +999,25 @@ Result<std::vector<swp::EncryptedDocument>> UntrustedServer::FetchRelation(
   return documents;
 }
 
-Result<std::vector<swp::EncryptedDocument>>
-UntrustedServer::FetchRelationLocked(const std::string& name) const {
-  auto it = relations_.find(name);
-  if (it == relations_.end()) {
-    return Status::NotFound("relation '" + name + "' not stored");
-  }
-  std::vector<swp::EncryptedDocument> documents;
-  documents.reserve(it->second.records.size());
-  for (const auto& rid : it->second.records) {
-    DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument doc,
-                          runtime::ReadStoredDocument(heap_, rid));
-    documents.push_back(std::move(doc));
-  }
-  return documents;
-}
-
 Result<Bytes> UntrustedServer::SerializeState() const {
   Bytes out;
   AppendUint32(&out, 0x44425048);  // "DBPH" magic
   AppendUint32(&out, 3);           // format version
   AppendUint32(&out, static_cast<uint32_t>(relations_.size()));
   for (const auto& [name, stored] : relations_) {
-    core::EncryptedRelation relation;
-    relation.name = name;
-    relation.check_length = stored.check_length;
-    DBPH_ASSIGN_OR_RETURN(relation.documents, FetchRelationLocked(name));
-    relation.AppendTo(&out);
+    // The EncryptedRelation encoding, written from the stored bytes
+    // (they ARE each document's serialized form).
+    AppendLengthPrefixed(&out, ToBytes(name));
+    AppendUint32(&out, stored.docs.check_length);
+    AppendUint32(&out, static_cast<uint32_t>(stored.num_docs()));
+    for (const auto& chunk : stored.docs.chunks) {
+      for (const SnapshotDoc& doc : chunk->docs) {
+        out.insert(out.end(), doc.bytes.begin(), doc.bytes.end());
+      }
+    }
+    for (const SnapshotDoc& doc : stored.pending_append) {
+      out.insert(out.end(), doc.bytes.begin(), doc.bytes.end());
+    }
     // v2: integrity state rides along. The tree itself is NOT persisted
     // — it is a deterministic function of the ciphertext and rebuilds on
     // restore — but the epoch and the owner's signed root cannot be
@@ -1333,7 +1111,6 @@ Status UntrustedServer::RestoreStateLocked(const Bytes& data) {
   if (!reader.AtEnd()) return Status::DataLoss("trailing bytes");
 
   relations_.clear();
-  heap_ = storage::HeapFile();
   snapshot_stale_ = true;
   {
     std::lock_guard<std::mutex> lock(log_mutex_);
@@ -1385,38 +1162,8 @@ protocol::Envelope MakeSelectResultEnvelope(
 
 }  // namespace
 
-protocol::Envelope UntrustedServer::MakeSelectResponse(
-    SelectOutcome* outcome) {
-  if (!outcome->docs.ok()) {
-    return protocol::MakeErrorEnvelope(outcome->docs.status());
-  }
-  if (runtime_options_.enable_integrity && outcome->stored != nullptr) {
-    const bool timed = runtime_options_.enable_metrics;
-    Stopwatch::Clock::time_point start{};
-    if (timed) start = Stopwatch::Clock::now();
-    protocol::ResultProof proof =
-        BuildProof(*outcome->stored, std::move(outcome->positions));
-    protocol::CompletenessProof completeness;
-    if (outcome->has_tag) {
-      completeness = BuildCompletenessFromParts(
-          outcome->stored->search, outcome->stored->epoch,
-          outcome->stored->attested_epoch, outcome->stored->search_signature,
-          outcome->tag);
-    }
-    if (timed) {
-      uint64_t micros = MicrosBetween(start, Stopwatch::Clock::now());
-      trace_.proof_micros += micros;
-      cur_.flags |= PendingRequestStat::kBuiltProof;
-      cur_.proof_micros += SaturateU32(micros);
-    }
-    return MakeSelectResultEnvelope(*outcome->docs, &proof,
-                                    outcome->has_tag ? &completeness : nullptr);
-  }
-  return MakeSelectResultEnvelope(*outcome->docs, nullptr, nullptr);
-}
-
 protocol::Envelope UntrustedServer::MakeSnapshotSelectResponse(
-    SnapshotSelectOutcome* outcome, ReadScratch* scratch) {
+    SnapshotSelectOutcome* outcome, RequestScratch* scratch) {
   if (!outcome->docs.ok()) {
     return protocol::MakeErrorEnvelope(outcome->docs.status());
   }
@@ -1424,7 +1171,7 @@ protocol::Envelope UntrustedServer::MakeSnapshotSelectResponse(
     // The proof source is the pinned snapshot's frozen tree/epoch — the
     // exact state the documents came from, so a racing mutation can
     // never splice a stale root under this proof.
-    const bool timed = scratch != nullptr && runtime_options_.enable_metrics;
+    const bool timed = runtime_options_.enable_metrics;
     Stopwatch::Clock::time_point start{};
     if (timed) start = Stopwatch::Clock::now();
     protocol::ResultProof proof = BuildProofFromParts(
@@ -1451,47 +1198,48 @@ protocol::Envelope UntrustedServer::MakeSnapshotSelectResponse(
   return MakeSelectResultEnvelope(*outcome->docs, nullptr, nullptr);
 }
 
-protocol::Envelope UntrustedServer::DispatchBatch(
-    const protocol::Envelope& request) {
-  using protocol::Envelope;
-  using protocol::MessageType;
-  auto parts = protocol::ParseBatchPayload(request.payload);
-  if (!parts.ok()) return protocol::MakeErrorEnvelope(parts.status());
+namespace {
 
-  // Sub-requests execute in order. Maximal runs of consecutive selects
-  // become one parallel wave; any mutating operation in between acts as
-  // a barrier, so a select always sees every earlier write in its batch.
-  // (All-select batches never reach here — they take the snapshot read
-  // path; this locked path serves exactly the mixed batches.)
-  std::vector<Envelope> responses(parts->size());
-  size_t i = 0;
-  while (i < parts->size()) {
-    if ((*parts)[i].type != MessageType::kSelect) {
-      responses[i] = Dispatch((*parts)[i]);
-      ++i;
+/// Read-shaped requests are served from a published snapshot. Every
+/// other type mutates (or, like kFlush and nested batches, must be
+/// ordered with mutations) and runs under the dispatch lock.
+bool IsReadShaped(protocol::MessageType type) {
+  using protocol::MessageType;
+  switch (type) {
+    case MessageType::kSelect:
+    case MessageType::kExplain:
+    case MessageType::kFetchRelation:
+    case MessageType::kStats:
+    case MessageType::kLeakageReport:
+    case MessageType::kPing:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+protocol::Envelope UntrustedServer::DispatchBatch(
+    const std::vector<protocol::Envelope>& parts, RequestScratch* scratch) {
+  // Parts execute in order under this one dispatch-lock hold. A read
+  // leg publishes first, so it sees every earlier write of its batch,
+  // and memoizes its scans straight into the live index: this thread
+  // already holds the lock TryMemoizeFromSnapshot would try for.
+  std::vector<protocol::Envelope> responses(parts.size());
+  for (size_t i = 0; i < parts.size(); ++i) {
+    if (!IsReadShaped(parts[i].type)) {
+      responses[i] = Dispatch(parts[i], scratch);
       continue;
     }
-    std::vector<core::EncryptedQuery> wave;
-    std::vector<size_t> wave_slots;
-    while (i < parts->size() && (*parts)[i].type == MessageType::kSelect) {
-      ByteReader reader((*parts)[i].payload);
-      auto query = core::EncryptedQuery::ReadFrom(&reader);
-      if (!query.ok()) {
-        responses[i] = protocol::MakeErrorEnvelope(query.status());
-      } else {
-        wave.push_back(std::move(*query));
-        wave_slots.push_back(i);
-      }
-      ++i;
-    }
-    auto results = SelectBatchInternal(wave);
-    for (size_t k = 0; k < wave_slots.size(); ++k) {
-      responses[wave_slots[k]] = MakeSelectResponse(&results[k]);
-    }
+    PublishDirtyLocked();
+    std::shared_ptr<const ServerSnapshot> snap = PinSnapshot();
+    responses[i] = DispatchRead(parts[i], *snap, scratch);
+    MemoizeLocked(scratch->memo);
+    scratch->memo.clear();
   }
-
-  Envelope response;
-  response.type = MessageType::kBatchResponse;
+  protocol::Envelope response;
+  response.type = protocol::MessageType::kBatchResponse;
   response.payload = protocol::SerializeBatchPayload(responses);
   return response;
 }
@@ -1506,7 +1254,7 @@ Status UntrustedServer::LogMutation(const protocol::Envelope& request) {
 }
 
 protocol::Envelope UntrustedServer::Dispatch(
-    const protocol::Envelope& request) {
+    const protocol::Envelope& request, RequestScratch* scratch) {
   using protocol::Envelope;
   using protocol::MessageType;
   switch (request.type) {
@@ -1538,82 +1286,11 @@ protocol::Envelope UntrustedServer::Dispatch(
       ok.type = MessageType::kStoreOk;
       return ok;
     }
-    case MessageType::kSelect: {
-      ByteReader reader(request.payload);
-      auto query = core::EncryptedQuery::ReadFrom(&reader);
-      if (!query.ok()) return protocol::MakeErrorEnvelope(query.status());
-      auto outcomes = SelectBatchInternal({*query});
-      return MakeSelectResponse(&outcomes[0]);
-    }
-    case MessageType::kExplain: {
-      // Plan-only: parses like kSelect, executes nothing, logs nothing
-      // (no matches are computed, so there is no query observation — the
-      // report is a function of state Eve already holds). Served from
-      // LIVE state, not the published snapshot: a mixed batch may have
-      // mutated this relation earlier in the same batch, and its EXPLAIN
-      // legs must see those writes (the snapshot refreshes only when the
-      // whole locked request completes).
-      ByteReader reader(request.payload);
-      auto query = core::EncryptedQuery::ReadFrom(&reader);
-      if (!query.ok()) return protocol::MakeErrorEnvelope(query.status());
-      auto it = relations_.find(query->relation);
-      if (it == relations_.end()) {
-        return protocol::MakeErrorEnvelope(Status::NotFound(
-            "relation '" + query->relation + "' not stored"));
-      }
-      planner::ExecutionContext ctx = ContextFor(&it->second);
-      Bytes trapdoor_bytes;
-      query->trapdoor.AppendTo(&trapdoor_bytes);
-      planner::QueryPlan plan = planner::PlanSelect(
-          ctx, trapdoor_bytes, /*postings_out=*/nullptr,
-          /*record_stats=*/false);
-      Envelope response;
-      response.type = MessageType::kExplainResult;
-      planner::MakePlanReport(ctx, plan, query->relation)
-          .AppendTo(&response.payload);
-      return response;
-    }
-    case MessageType::kBatchRequest:
-      return DispatchBatch(request);
-    case MessageType::kStats: {
-      // Keys-free live stats: everything in the snapshot is derived from
-      // Eve's own observations (op counts, timings, sizes) — safe to
-      // serve to anyone who can already reach the wire. Carries no
-      // request payload by definition.
-      if (!request.payload.empty()) {
-        return protocol::MakeErrorEnvelope(
-            Status::InvalidArgument("kStats carries no payload"));
-      }
-      RefreshGaugesLocked();
-      Envelope response;
-      response.type = MessageType::kStatsResult;
-      metrics_.Snapshot().AppendTo(&response.payload);
-      return response;
-    }
-    case MessageType::kLeakageReport: {
-      // The adversary's view of itself: salted tag digests, counts, and
-      // derived rates only — never raw trapdoor or ciphertext bytes
-      // (the auditor's redaction contract). Carries no request payload.
-      if (!request.payload.empty()) {
-        return protocol::MakeErrorEnvelope(
-            Status::InvalidArgument("kLeakageReport carries no payload"));
-      }
-      if (auditor_ == nullptr) {
-        return protocol::MakeErrorEnvelope(Status::FailedPrecondition(
-            "leakage auditor disabled (--leakage=off)"));
-      }
-      Envelope response;
-      response.type = MessageType::kLeakageReportResult;
-      auditor_->Report().AppendTo(&response.payload);
-      return response;
-    }
-    case MessageType::kPing: {
-      // Keys-free health check: echo the client's cookie. Pings carry no
-      // trapdoors and match nothing, so they are not query observations.
-      Envelope pong;
-      pong.type = MessageType::kPong;
-      pong.payload = request.payload;
-      return pong;
+    case MessageType::kBatchRequest: {
+      // A batch nested in a batch: parsed here, at its own level.
+      auto parts = protocol::ParseBatchPayload(request.payload);
+      if (!parts.ok()) return protocol::MakeErrorEnvelope(parts.status());
+      return DispatchBatch(*parts, scratch);
     }
     case MessageType::kFlush: {
       // Durability point: every mutation acknowledged before this reply
@@ -1681,8 +1358,8 @@ protocol::Envelope UntrustedServer::Dispatch(
       }
       const bool integrity = runtime_options_.enable_integrity;
       std::vector<std::pair<uint64_t, Bytes>> manifest;
-      auto removed =
-          DeleteWhereInternal(*query, integrity ? &manifest : nullptr);
+      auto removed = DeleteWhereInternal(
+          *query, integrity ? &manifest : nullptr, scratch);
       if (!removed.ok()) return protocol::MakeErrorEnvelope(removed.status());
       Envelope response;
       response.type = MessageType::kDeleteResult;
@@ -1696,38 +1373,6 @@ protocol::Envelope UntrustedServer::Dispatch(
         for (const auto& [position, doc_bytes] : manifest) {
           AppendUint64(&response.payload, position);
           AppendLengthPrefixed(&response.payload, doc_bytes);
-        }
-      }
-      return response;
-    }
-    case MessageType::kFetchRelation: {
-      // Locked (mixed-batch) fetch: live heap + live tree, so a fetch
-      // after an append in the same batch returns the appended rows.
-      auto docs = FetchRelationLocked(ToString(request.payload));
-      if (!docs.ok()) return protocol::MakeErrorEnvelope(docs.status());
-      Envelope response;
-      response.type = MessageType::kFetchResult;
-      AppendUint32(&response.payload, static_cast<uint32_t>(docs->size()));
-      for (const auto& doc : *docs) doc.AppendTo(&response.payload);
-      if (runtime_options_.enable_integrity) {
-        // Whole-relation completeness proof: positions [0, n) — the
-        // client verifies it received every leaf, in order.
-        auto it = relations_.find(ToString(request.payload));
-        if (it != relations_.end()) {
-          std::vector<uint64_t> all(it->second.records.size());
-          for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-          protocol::ResultProof proof =
-              BuildProof(it->second, std::move(all));
-          proof.AppendTo(&response.payload);
-          // Search-structure dump: the bootstrap source SyncIntegrity
-          // rebuilds its mirror from, with the owner's signature when
-          // the current epoch is attested.
-          protocol::AppendSearchEntries(it->second.search.entries(),
-                                        &response.payload);
-          AppendLengthPrefixed(&response.payload,
-                               it->second.attested_epoch == it->second.epoch
-                                   ? it->second.search_signature
-                                   : Bytes{});
         }
       }
       return response;
@@ -1790,11 +1435,11 @@ protocol::Envelope UntrustedServer::Dispatch(
   }
 }
 
-// -------------------------------------------- snapshot read dispatch
+// ------------------------------------------------------ read dispatch
 
 protocol::Envelope UntrustedServer::DispatchRead(
     const protocol::Envelope& request, const ServerSnapshot& snap,
-    ReadScratch* scratch) {
+    RequestScratch* scratch) {
   using protocol::Envelope;
   using protocol::MessageType;
   switch (request.type) {
@@ -1805,37 +1450,10 @@ protocol::Envelope UntrustedServer::DispatchRead(
       auto outcomes = SnapshotSelectBatch(snap, {*query}, scratch);
       return MakeSnapshotSelectResponse(&outcomes[0], scratch);
     }
-    case MessageType::kBatchRequest: {
-      // Routing guarantees every part is a kSelect (mixed batches take
-      // the locked path); the whole batch becomes one snapshot wave.
-      auto parts = protocol::ParseBatchPayload(request.payload);
-      if (!parts.ok()) return protocol::MakeErrorEnvelope(parts.status());
-      std::vector<Envelope> responses(parts->size());
-      std::vector<core::EncryptedQuery> wave;
-      std::vector<size_t> wave_slots;
-      wave.reserve(parts->size());
-      wave_slots.reserve(parts->size());
-      for (size_t i = 0; i < parts->size(); ++i) {
-        ByteReader reader((*parts)[i].payload);
-        auto query = core::EncryptedQuery::ReadFrom(&reader);
-        if (!query.ok()) {
-          responses[i] = protocol::MakeErrorEnvelope(query.status());
-          continue;
-        }
-        wave.push_back(std::move(*query));
-        wave_slots.push_back(i);
-      }
-      auto results = SnapshotSelectBatch(snap, wave, scratch);
-      for (size_t k = 0; k < wave_slots.size(); ++k) {
-        responses[wave_slots[k]] =
-            MakeSnapshotSelectResponse(&results[k], scratch);
-      }
-      Envelope response;
-      response.type = MessageType::kBatchResponse;
-      response.payload = protocol::SerializeBatchPayload(responses);
-      return response;
-    }
     case MessageType::kExplain: {
+      // Plan-only: parses like kSelect, executes nothing, logs nothing
+      // (no matches are computed, so there is no query observation — the
+      // report is a function of state Eve already holds).
       ByteReader reader(request.payload);
       auto query = core::EncryptedQuery::ReadFrom(&reader);
       if (!query.ok()) return protocol::MakeErrorEnvelope(query.status());
@@ -1865,6 +1483,8 @@ protocol::Envelope UntrustedServer::DispatchRead(
                                 doc_bytes.end());
       }
       if (rel.tree != nullptr) {
+        // Whole-relation completeness proof: positions [0, n) — the
+        // client verifies it received every leaf, in order.
         std::vector<uint64_t> all(rel.num_docs);
         for (size_t i = 0; i < all.size(); ++i) all[i] = i;
         protocol::ResultProof proof =
@@ -1872,6 +1492,9 @@ protocol::Envelope UntrustedServer::DispatchRead(
                                 rel.root_signature, std::move(all));
         proof.AppendTo(&response.payload);
         if (rel.search != nullptr) {
+          // Search-structure dump: the bootstrap source SyncIntegrity
+          // rebuilds its mirror from, with the owner's signature when
+          // the current epoch is attested.
           protocol::AppendSearchEntries(rel.search->entries(),
                                         &response.payload);
           AppendLengthPrefixed(&response.payload,
@@ -1883,6 +1506,10 @@ protocol::Envelope UntrustedServer::DispatchRead(
       return response;
     }
     case MessageType::kStats: {
+      // Keys-free live stats: everything in the snapshot is derived from
+      // Eve's own observations (op counts, timings, sizes) — safe to
+      // serve to anyone who can already reach the wire. Carries no
+      // request payload by definition.
       if (!request.payload.empty()) {
         return protocol::MakeErrorEnvelope(
             Status::InvalidArgument("kStats carries no payload"));
@@ -1894,6 +1521,9 @@ protocol::Envelope UntrustedServer::DispatchRead(
       return response;
     }
     case MessageType::kLeakageReport: {
+      // The adversary's view of itself: salted tag digests, counts, and
+      // derived rates only — never raw trapdoor or ciphertext bytes
+      // (the auditor's redaction contract). Carries no request payload.
       if (!request.payload.empty()) {
         return protocol::MakeErrorEnvelope(
             Status::InvalidArgument("kLeakageReport carries no payload"));
@@ -1908,75 +1538,80 @@ protocol::Envelope UntrustedServer::DispatchRead(
       return response;
     }
     case MessageType::kPing: {
+      // Keys-free health check: echo the client's cookie. Pings carry no
+      // trapdoors and match nothing, so they are not query observations.
       Envelope pong;
       pong.type = MessageType::kPong;
       pong.payload = request.payload;
       return pong;
     }
     default:
-      // Unreachable via IsSnapshotRead routing; fail like Dispatch would.
+      // Unreachable via IsReadShaped routing; fail like Dispatch would.
       return protocol::MakeErrorEnvelope(
           Status::InvalidArgument("unexpected message type"));
   }
 }
 
-namespace {
-
-bool IsAllSelectBatch(const protocol::Envelope& envelope) {
-  auto parts = protocol::ParseBatchPayload(envelope.payload);
-  if (!parts.ok()) return false;  // the locked path reproduces the error
-  for (const auto& part : *parts) {
-    if (part.type != protocol::MessageType::kSelect) return false;
+protocol::Envelope UntrustedServer::DispatchSelectWave(
+    const std::vector<protocol::Envelope>& parts, const ServerSnapshot& snap,
+    RequestScratch* scratch) {
+  std::vector<protocol::Envelope> responses(parts.size());
+  std::vector<core::EncryptedQuery> wave;
+  std::vector<size_t> wave_slots;
+  wave.reserve(parts.size());
+  wave_slots.reserve(parts.size());
+  for (size_t i = 0; i < parts.size(); ++i) {
+    ByteReader reader(parts[i].payload);
+    auto query = core::EncryptedQuery::ReadFrom(&reader);
+    if (!query.ok()) {
+      responses[i] = protocol::MakeErrorEnvelope(query.status());
+      continue;
+    }
+    wave.push_back(std::move(*query));
+    wave_slots.push_back(i);
   }
-  return true;
+  auto results = SnapshotSelectBatch(snap, wave, scratch);
+  for (size_t k = 0; k < wave_slots.size(); ++k) {
+    responses[wave_slots[k]] = MakeSnapshotSelectResponse(&results[k], scratch);
+  }
+  protocol::Envelope response;
+  response.type = protocol::MessageType::kBatchResponse;
+  response.payload = protocol::SerializeBatchPayload(responses);
+  return response;
 }
 
-/// Read-shaped requests execute against the published snapshot without
-/// the dispatch lock. Everything else — including batches with even one
-/// mutating part — serializes on the single-writer locked path.
-bool IsSnapshotRead(const protocol::Envelope& envelope) {
-  using protocol::MessageType;
-  switch (envelope.type) {
-    case MessageType::kSelect:
-    case MessageType::kExplain:
-    case MessageType::kFetchRelation:
-    case MessageType::kStats:
-    case MessageType::kLeakageReport:
-    case MessageType::kPing:
-      return true;
-    case MessageType::kBatchRequest:
-      return IsAllSelectBatch(envelope);
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
-Bytes UntrustedServer::HandleReadRequest(const protocol::Envelope& envelope,
-                                         uint64_t parse_micros) {
+Bytes UntrustedServer::HandleReadRequest(
+    const protocol::Envelope& envelope,
+    const std::vector<protocol::Envelope>& parts, uint64_t parse_micros) {
   const bool timed = runtime_options_.enable_metrics;
   std::shared_ptr<const ServerSnapshot> snap = PinSnapshot();
-  if (!timed) return DispatchRead(envelope, *snap, nullptr).Serialize();
+  RequestScratch scratch;
+  const auto dispatch = [&] {
+    protocol::Envelope response =
+        envelope.type == protocol::MessageType::kBatchRequest
+            ? DispatchSelectWave(parts, *snap, &scratch)
+            : DispatchRead(envelope, *snap, &scratch);
+    TryMemoizeFromSnapshot(scratch.memo);
+    return response;
+  };
+  if (!timed) return dispatch().Serialize();
 
   using SteadyClock = Stopwatch::Clock;
-  ReadScratch scratch;
   scratch.trace.op = OpSlug(envelope.type);
   scratch.trace.parse_micros = parse_micros;
   SteadyClock::time_point started = SteadyClock::now();
-  protocol::Envelope response = DispatchRead(envelope, *snap, &scratch);
+  protocol::Envelope response = dispatch();
   SteadyClock::time_point handled = SteadyClock::now();
   Bytes wire = response.Serialize();
   SteadyClock::time_point serialized = SteadyClock::now();
   uint64_t handle_micros = MicrosBetween(started, handled);
   scratch.trace.serialize_micros = MicrosBetween(handled, serialized);
-  // On the read path lock_wait (the observation-log mutex wait, recorded
-  // by the select pipeline) is a sub-span of handle, so the total is
-  // parse + handle + serialize — not lock_wait again.
+  // Here lock_wait (the observation-log mutex wait, recorded by the
+  // select pipeline) is a sub-span of handle, so the total is parse +
+  // handle + serialize — not lock_wait again.
   scratch.trace.total_micros = scratch.trace.parse_micros + handle_micros +
                                scratch.trace.serialize_micros;
-  RecordRequestMetrics(scratch.trace, &scratch.cur, envelope.type,
-                       response.type, handle_micros);
+  RecordRequestMetrics(&scratch, envelope.type, response.type, handle_micros);
   return wire;
 }
 
@@ -1998,13 +1633,29 @@ Bytes UntrustedServer::HandleRequest(const Bytes& request,
     if (timed) ins_.errors->Add();
     return protocol::MakeErrorEnvelope(envelope.status()).Serialize();
   }
+  // A batch's parts are parsed once, here: they decide the routing (an
+  // all-select batch is read-shaped) and are what the handlers run.
+  bool read_shaped = IsReadShaped(envelope->type);
+  std::vector<protocol::Envelope> parts;
+  if (envelope->type == protocol::MessageType::kBatchRequest) {
+    auto parsed = protocol::ParseBatchPayload(envelope->payload);
+    if (!parsed.ok()) {
+      if (timed) ins_.errors->Add();
+      return protocol::MakeErrorEnvelope(parsed.status()).Serialize();
+    }
+    parts = std::move(*parsed);
+    read_shaped = std::all_of(
+        parts.begin(), parts.end(), [](const protocol::Envelope& part) {
+          return part.type == protocol::MessageType::kSelect;
+        });
+  }
   SteadyClock::time_point parsed{};
   if (timed) parsed = SteadyClock::now();
-  if (IsSnapshotRead(*envelope)) {
-    // Snapshot reads take no exclusive resource, so they are exempt from
-    // the exclusive-mutation-dispatcher assert and may arrive from any
+  if (read_shaped) {
+    // Reads take no exclusive resource, so they are exempt from the
+    // exclusive-mutation-dispatcher assert and may arrive from any
     // thread (NetServer read workers, the metrics responder, tests).
-    return HandleReadRequest(*envelope,
+    return HandleReadRequest(*envelope, parts,
                              timed ? MicrosBetween(entered, parsed) : 0);
   }
 #ifndef NDEBUG
@@ -2016,26 +1667,26 @@ Bytes UntrustedServer::HandleRequest(const Bytes& request,
 #else
   (void)dispatcher;
 #endif
-  // Single-writer mutation loop: concurrent mutators queue here; snapshot
-  // reads never do. Storage, the relation map, and the Merkle trees are
-  // only ever touched under this lock.
+  // Single-writer mutation loop: concurrent mutators queue here; lock-free
+  // reads never do. The relation map, the document chunks, and the
+  // Merkle trees are only ever changed under this lock.
   std::lock_guard<std::mutex> lock(dispatch_mutex_);
+  RequestScratch scratch;
+  const auto dispatch = [&] {
+    return envelope->type == protocol::MessageType::kBatchRequest
+               ? DispatchBatch(parts, &scratch)
+               : Dispatch(*envelope, &scratch);
+  };
   if (!timed) {
-    protocol::Envelope response = Dispatch(*envelope);
+    protocol::Envelope response = dispatch();
     PublishDirtyLocked();
     return response.Serialize();
   }
 
   SteadyClock::time_point locked = SteadyClock::now();
-  // trace_ and cur_ are members (not locals) so the select pipeline and
-  // proof builder — called below Dispatch, still under this lock — can
-  // accumulate their stage spans into the same request's entry.
-  trace_.Reset();
-  cur_ = PendingRequestStat{};
-  trace_.op = OpSlug(envelope->type);
-  trace_.parse_micros = MicrosBetween(entered, parsed);
-  trace_.lock_wait_micros = MicrosBetween(parsed, locked);
-  protocol::Envelope response = Dispatch(*envelope);
+  scratch.trace.op = OpSlug(envelope->type);
+  scratch.trace.parse_micros = MicrosBetween(entered, parsed);
+  protocol::Envelope response = dispatch();
   // Publishing is part of the mutation's cost (and its handle span):
   // readers must see this request's effects the moment its response can
   // be on the wire.
@@ -2044,11 +1695,14 @@ Bytes UntrustedServer::HandleRequest(const Bytes& request,
   Bytes wire = response.Serialize();
   SteadyClock::time_point serialized = SteadyClock::now();
   uint64_t handle_micros = MicrosBetween(locked, handled);
-  trace_.serialize_micros = MicrosBetween(handled, serialized);
-  trace_.total_micros = trace_.parse_micros + trace_.lock_wait_micros +
-                        handle_micros + trace_.serialize_micros;
-  RecordRequestMetrics(trace_, &cur_, envelope->type, response.type,
-                       handle_micros);
+  // lock_wait is the dispatch-lock wait alone: a mixed batch's read legs
+  // also wait on the observation-log mutex, but inside handle.
+  scratch.trace.lock_wait_micros = MicrosBetween(parsed, locked);
+  scratch.trace.serialize_micros = MicrosBetween(handled, serialized);
+  scratch.trace.total_micros = scratch.trace.parse_micros +
+                               scratch.trace.lock_wait_micros + handle_micros +
+                               scratch.trace.serialize_micros;
+  RecordRequestMetrics(&scratch, envelope->type, response.type, handle_micros);
   return wire;
 }
 

@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,11 +23,9 @@
 #include "protocol/plan_report.h"
 #include "protocol/result_proof.h"
 #include "server/observation.h"
-#include "server/planner/planner.h"
 #include "server/planner/trapdoor_index.h"
 #include "server/runtime/thread_pool.h"
 #include "server/snapshot.h"
-#include "storage/heapfile.h"
 
 namespace dbph {
 namespace server {
@@ -61,20 +58,13 @@ struct ServerRuntimeOptions {
   /// should raise this (or the memo shrinks to budget/batch-size
   /// entries).
   size_t max_index_append_evals = 16 * 1024;
-  /// Batched scan kernel: route full scans (locked and snapshot paths
-  /// alike) through the precomputed-HMAC MatchContext over contiguous
-  /// word arenas instead of the per-document scalar matcher. Results,
-  /// ResultProofs, and observation-log entries are byte-identical either
-  /// way (tests assert it) — purely a performance switch, kept as an
-  /// A/B flag for benchmarking and as an escape hatch.
-  bool enable_scan_kernel = true;
   /// Result integrity: maintain a per-relation Merkle tree over the
   /// stored ciphertext (in storage order) and attach a
   /// protocol::ResultProof to every select / fetch / delete response, so
   /// a verifying client can detect a server (or a path in between) that
   /// drops, substitutes, reorders, or replays rows. Proofs are a
-  /// function of stored state only — both planner access paths produce
-  /// byte-identical proofs, like results. Off restores the PR-4 wire
+  /// function of stored state only — both access paths (index and scan)
+  /// produce byte-identical proofs, like results. Off restores the PR-4 wire
   /// format exactly. See docs/SECURITY.md for what proofs do and do not
   /// guarantee.
   bool enable_integrity = true;
@@ -114,10 +104,11 @@ struct ServerRuntimeOptions {
 
 /// \brief Eve: the honest-but-curious service provider.
 ///
-/// Holds only ciphertext: encrypted documents in a heap file plus the
-/// per-relation record lists. Executes encrypted exact selects by
-/// scanning documents and evaluating the trapdoor — it owns no keys
-/// (note that every operation here type-checks against public data only).
+/// Holds only ciphertext: each relation's encrypted documents in sealed
+/// chunks (server/snapshot.h), the one copy the server keeps. Executes
+/// encrypted exact selects by scanning documents and evaluating the
+/// trapdoor — it owns no keys (note that every operation here
+/// type-checks against public data only).
 ///
 /// Per the paper's trust model, Eve follows the protocol but records
 /// everything she sees in an ObservationLog; the Section 2 experiments
@@ -141,24 +132,26 @@ class UntrustedServer {
   /// Locking model — single-writer / multi-reader snapshots. Mutating
   /// requests (store / append / delete / drop / attest / flush, and any
   /// batch containing one) serialize on `dispatch_mutex_` for their full
-  /// duration, exactly as before; before releasing the lock they publish
-  /// an immutable per-relation snapshot (owned document bytes + frozen
-  /// trapdoor index + Merkle tree/epoch/attestation) via one atomic
-  /// shared_ptr swap. Read-shaped requests (select, all-select batches,
-  /// EXPLAIN, fetch, stats, leakage report, ping) pin the published
-  /// snapshot with a single acquire load and execute WITHOUT the
-  /// dispatch lock — concurrent reads proceed in parallel, each fanning
-  /// out internally across the worker pool. A reader re-enters a short
-  /// critical section only to append its observation-log entries
-  /// (`log_mutex_`) and stage its metrics deltas (`stats_mutex_`).
+  /// duration; before releasing the lock they publish an immutable
+  /// per-relation snapshot (shared document chunks + frozen trapdoor
+  /// index + Merkle tree/epoch/attestation) via one shared_ptr swap.
+  /// Every read is served from a published snapshot. Read-shaped
+  /// requests (select, all-select batches, EXPLAIN, fetch, stats,
+  /// leakage report, ping) pin it and execute WITHOUT the dispatch lock
+  /// — concurrent reads proceed in parallel, each fanning out internally
+  /// across the worker pool. A reader re-enters a short critical section
+  /// only to append its observation-log entries (`log_mutex_`) and stage
+  /// its metrics deltas (`stats_mutex_`). The read legs of a mixed batch
+  /// run the same code under the batch's dispatch-lock hold: the batch
+  /// publishes before each read leg, so a read sees every earlier write
+  /// of its batch.
   ///
-  /// Invariants: results and ResultProofs are byte-identical on both
-  /// paths (snapshots freeze the proof source with the documents, so a
-  /// racing mutation can never splice a stale root under a proof); the
-  /// observation log gains exactly one atomic entry per executed query —
-  /// an entry reflects its query's pinned snapshot, and a reader racing
-  /// a writer may be transcribed after that writer's entry (the matched
-  /// record ids identify the snapshot it read).
+  /// Invariants: proofs come from the pinned snapshot's frozen
+  /// tree/epoch, so a racing mutation can never splice a stale root
+  /// under a proof; the observation log gains exactly one atomic entry
+  /// per executed query — an entry reflects its query's pinned snapshot,
+  /// and a reader racing a writer may be transcribed after that writer's
+  /// entry (the matched record ids identify the snapshot it read).
   Bytes HandleRequest(const Bytes& request);
 
   /// As above, with the caller's identity for the debug-only
@@ -193,11 +186,10 @@ class UntrustedServer {
   Status StoreRelation(const core::EncryptedRelation& relation);
   Status DropRelation(const std::string& name);
 
-  /// psi: returns the matching encrypted documents. Routed through the
-  /// snapshot select pipeline (a one-query SelectBatch): the planner
-  /// picks the trapdoor-index path when this exact trapdoor is memoized,
-  /// the sharded full scan otherwise; results and the observation entry
-  /// are byte-identical either way.
+  /// psi: returns the matching encrypted documents. A one-query
+  /// SelectBatch: the trapdoor-index path when this exact trapdoor is
+  /// memoized, the sharded full scan otherwise; results and the
+  /// observation entry are byte-identical either way.
   Result<std::vector<swp::EncryptedDocument>> Select(
       const core::EncryptedQuery& query);
 
@@ -257,7 +249,9 @@ class UntrustedServer {
   /// The SaveTo image as bytes, for the durability layer (which wraps it
   /// in its own checkpoint header and already holds the dispatch lock
   /// via WithDispatchLock when it calls this). Caller-locked: must run
-  /// under the dispatch lock or on an otherwise-quiescent server.
+  /// under the dispatch lock or on an otherwise-quiescent server. Reads
+  /// the live relations' chunks (plus any unpublished appends), never
+  /// the published snapshot.
   Result<Bytes> SerializeState() const;
 
   /// Restores from a SerializeState image. Parses fully before mutating,
@@ -336,26 +330,20 @@ class UntrustedServer {
   obs::leakage::LeakageAuditor* leakage_auditor() { return auditor_.get(); }
 
  private:
-  /// How far a relation's published snapshot lags its live state, and
-  /// therefore how much work republishing costs. Levels escalate and
-  /// only PublishDirtyLocked resets them.
-  enum class SnapshotDirty : uint8_t {
-    kNone = 0,    ///< published snapshot is current
-    kMeta = 1,    ///< index/epoch/attestation changed; documents did not
-    kAppend = 2,  ///< documents appended (pending_append holds them)
-    kFull = 3,    ///< documents changed arbitrarily; rebuild from heap
-  };
-
   struct StoredRelation {
-    uint32_t check_length = 4;
-    std::vector<storage::RecordId> records;
+    /// The relation's documents in storage order — the server's only
+    /// copy of its ciphertext: sealed chunks, shared with every snapshot
+    /// that published them, followed by pending_append (documents
+    /// appended since the last publish, so an append republishes
+    /// O(appended) instead of O(n)). check_length lives in `docs`.
+    DocumentChunks docs;
+    std::vector<SnapshotDoc> pending_append;
     /// Trapdoor → posting-list memo for this relation. Volatile cache:
     /// dies with the relation (Drop), starts cold after RestoreState /
     /// recovery (deterministic rebuild as queries repeat), and is
     /// maintained incrementally by AppendTuples / DeleteWhere under the
     /// dispatch lock. Never consulted when the runtime option disables
-    /// the index. Snapshot readers see a frozen copy and consult it via
-    /// Peek only.
+    /// the index. Readers see a frozen copy and consult it via Peek.
     planner::TrapdoorIndex index;
 
     // ---- result-integrity state (maintained only with enable_integrity;
@@ -386,52 +374,32 @@ class UntrustedServer {
     /// the "dbph-search-root-v1" domain; deposited by the extended
     /// kAttestRoot alongside root_signature, same staleness rule.
     Bytes search_signature;
-    /// rid.Pack() → leaf index, so the proof builder maps planner
-    /// matches (which carry record ids) to tree positions in O(1)
-    /// instead of scanning `records` per select.
-    std::unordered_map<uint64_t, uint64_t> position_of;
     /// Total word slots across all stored documents — the predicted PRF
     /// evaluation count a full scan reports (EXPLAIN match_evals).
-    /// Maintained by store/append/delete alongside `records`.
+    /// Maintained by store/append/delete.
     uint64_t word_slots = 0;
 
     // ---- snapshot publication state (under the dispatch lock) ----
 
     /// The last published frozen view of this relation (what readers
-    /// currently see), and how stale it is.
+    /// currently see), and whether it lags the live state.
     std::shared_ptr<const RelationSnapshot> published;
-    SnapshotDirty dirty = SnapshotDirty::kFull;
-    /// Documents appended since the last publish (owned serialized
-    /// bytes), so an append republishes O(appended) instead of O(n).
-    std::vector<SnapshotDoc> pending_append;
+    bool dirty = true;
     /// Stamp of the last document-state change (drawn from the
     /// server-wide counter, so a drop + re-store never reuses a value).
     uint64_t doc_generation = 0;
+
+    size_t num_docs() const { return docs.num_docs + pending_append.size(); }
   };
 
-  /// One select's full outcome on the locked path: the documents plus
-  /// their leaf positions (positions empty when integrity is off) and
-  /// the relation they came from (null when resolution failed).
-  struct SelectOutcome {
-    Result<std::vector<swp::EncryptedDocument>> docs;
-    std::vector<uint64_t> positions;
-    const StoredRelation* stored = nullptr;
-    /// The queried trapdoor's search-tree tag (set when integrity is
-    /// on), so the response builder can attach a CompletenessProof.
-    crypto::MerkleTree::Hash tag{};
-    bool has_tag = false;
-
-    SelectOutcome() : docs(Status::OK()) {}
-  };
-
-  /// One select's outcome on the snapshot read path; `rel` (borrowed
-  /// from the pinned snapshot, which the caller keeps alive) is the
-  /// proof source.
+  /// One select's outcome; `rel` (borrowed from the pinned snapshot,
+  /// which the caller keeps alive) is the proof source.
   struct SnapshotSelectOutcome {
     Result<std::vector<swp::EncryptedDocument>> docs;
     std::vector<uint64_t> positions;
     const RelationSnapshot* rel = nullptr;
-    /// See SelectOutcome::tag.
+    /// The queried trapdoor's search-tree tag (set when integrity is
+    /// on), so the response builder can attach a CompletenessProof.
     crypto::MerkleTree::Hash tag{};
     bool has_tag = false;
 
@@ -446,8 +414,8 @@ class UntrustedServer {
   /// cost. So the hot path appends one plain 56-byte entry to a small
   /// ring instead, and the ring folds into the registry in batches
   /// (cache-hot, amortized) and on every read path. The ring is guarded
-  /// by stats_mutex_ (locked and snapshot paths both stage here);
-  /// readers of the atomic instruments stay lock-free.
+  /// by stats_mutex_ (every request thread stages here); readers of the
+  /// atomic instruments stay lock-free.
   struct PendingRequestStat {
     enum : uint8_t {
       kIsError = 1 << 0,
@@ -474,26 +442,33 @@ class UntrustedServer {
     uint8_t flags = 0;
   };
 
-  /// A reader's private stage trace + staged metric deltas. The locked
-  /// path keeps these as members (trace_/cur_, valid under the dispatch
-  /// lock); each snapshot read carries its own on the stack.
-  struct ReadScratch {
-    obs::QueryTrace trace;
-    PendingRequestStat cur;
+  /// A completed scan that missed the frozen index, to be memoized into
+  /// the live index — but only while the live documents are still the
+  /// generation the scan read.
+  struct MemoCandidate {
+    std::string relation;
+    uint64_t doc_generation = 0;
+    Bytes trapdoor_bytes;
+    swp::Trapdoor trapdoor;
+    std::vector<uint64_t> postings;
   };
 
-  /// The locked select pipeline: plans/executes against live storage,
-  /// logs observations, and reports positions for proof building. Only
-  /// reachable under the dispatch lock (select legs of mixed batches).
-  std::vector<SelectOutcome> SelectBatchInternal(
-      const std::vector<core::EncryptedQuery>& queries);
+  /// One request's private state, passed down the dispatch: its stage
+  /// trace, its staged metric deltas (both filled only with metrics on),
+  /// and the scan results its select legs left to memoize.
+  struct RequestScratch {
+    obs::QueryTrace trace;
+    PendingRequestStat cur;
+    std::vector<MemoCandidate> memo;
+  };
 
   /// DeleteWhere body; when `removed_out` is non-null it receives the
   /// pre-delete (leaf position, serialized document) manifest the client
   /// verifies against its own tree.
   Result<size_t> DeleteWhereInternal(
       const core::EncryptedQuery& query,
-      std::vector<std::pair<uint64_t, Bytes>>* removed_out);
+      std::vector<std::pair<uint64_t, Bytes>>* removed_out,
+      RequestScratch* scratch);
 
   // Locked bodies of the typed mutators (caller holds dispatch_mutex_);
   // the public wrappers lock, delegate, and publish.
@@ -521,94 +496,94 @@ class UntrustedServer {
                           const crypto::MerkleTree::Hash* search_root = nullptr,
                           const Bytes* search_signature = nullptr);
   Status RestoreStateLocked(const Bytes& data);
-  /// Reads a relation's documents straight from the heap (used by
-  /// SerializeState, which runs caller-locked and must not detour
-  /// through the published snapshot).
-  Result<std::vector<swp::EncryptedDocument>> FetchRelationLocked(
-      const std::string& name) const;
 
-  /// The proof for a result set of `positions` against `stored`'s
-  /// current tree/epoch. Positions must be sorted (storage order — the
-  /// pipeline's contract already guarantees it).
-  protocol::ResultProof BuildProof(const StoredRelation& stored,
-                                   std::vector<uint64_t> positions) const;
+  /// The locked dispatch for mutations (and nested batches). Read-shaped
+  /// types never reach it; see DispatchRead.
+  protocol::Envelope Dispatch(const protocol::Envelope& request,
+                              RequestScratch* scratch);
+  /// A mixed batch, parts in order under one dispatch-lock hold. Each
+  /// read leg first publishes, then runs through DispatchRead against
+  /// the fresh snapshot, so it sees every earlier write of its batch.
+  protocol::Envelope DispatchBatch(const std::vector<protocol::Envelope>& parts,
+                                   RequestScratch* scratch);
 
-  /// Renders one locked-path select outcome as its wire envelope —
-  /// kSelectResult with the proof attached (integrity on), or a kError.
-  protocol::Envelope MakeSelectResponse(SelectOutcome* outcome);
-
-  protocol::Envelope Dispatch(const protocol::Envelope& request);
-  protocol::Envelope DispatchBatch(const protocol::Envelope& request);
-
-  // ---------------- snapshot read path (no dispatch lock) ----------------
+  // ------------------------------ read path ------------------------------
 
   std::shared_ptr<const ServerSnapshot> PinSnapshot() const {
     std::lock_guard<std::mutex> lock(publish_mutex_);
     return published_;
   }
 
-  /// Serves one read-shaped request against the pinned snapshot; the
-  /// read-path twin of the locked HandleRequest tail (timing, metrics
-  /// staging, slow-query log) with per-request scratch instead of the
-  /// lock-guarded members.
+  /// Serves one read-shaped request (`parts` holds an all-select batch's
+  /// parsed parts) against the pinned snapshot without the dispatch
+  /// lock: timing, metrics staging, slow-query log, then the
+  /// best-effort memoization of its scans.
   Bytes HandleReadRequest(const protocol::Envelope& envelope,
+                          const std::vector<protocol::Envelope>& parts,
                           uint64_t parse_micros);
 
-  /// Dispatch for snapshot-served types: kSelect, all-select batches,
-  /// kExplain, kFetchRelation, kStats, kLeakageReport, kPing.
+  /// Dispatch for the single read-shaped types: kSelect, kExplain,
+  /// kFetchRelation, kStats, kLeakageReport, kPing.
   protocol::Envelope DispatchRead(const protocol::Envelope& request,
                                   const ServerSnapshot& snap,
-                                  ReadScratch* scratch);
+                                  RequestScratch* scratch);
 
-  /// EXPLAIN against a pinned snapshot: mirrors planner::PlanSelect with
-  /// the frozen index's stats-free Peek (EXPLAIN never counts toward
-  /// hit/miss stats on either path).
+  /// An all-select batch as one select wave against `snap`.
+  protocol::Envelope DispatchSelectWave(
+      const std::vector<protocol::Envelope>& parts, const ServerSnapshot& snap,
+      RequestScratch* scratch);
+
+  /// EXPLAIN against a pinned snapshot: the access path Select would
+  /// take, via the frozen index's Peek (EXPLAIN never counts toward
+  /// hit/miss stats).
   Result<protocol::PlanReport> ExplainFromSnapshot(
       const ServerSnapshot& snap, const core::EncryptedQuery& query);
 
-  /// The snapshot select pipeline: plans with the frozen index (Peek),
-  /// fetches postings or runs sharded scans over the frozen documents,
+  /// The select pipeline: plans with the frozen index (Peek), fetches
+  /// postings or runs sharded scans over the snapshot's documents,
   /// feeds the auditor, and appends one observation-log entry per query
-  /// (in query order, atomically under log_mutex_). Mirrors
-  /// SelectBatchInternal stage for stage; `scratch` null = untimed.
+  /// (in query order, atomically under log_mutex_). Scans that missed
+  /// the index leave a MemoCandidate in `scratch->memo` for the caller
+  /// to apply.
   std::vector<SnapshotSelectOutcome> SnapshotSelectBatch(
       const ServerSnapshot& snap,
-      const std::vector<core::EncryptedQuery>& queries, ReadScratch* scratch);
+      const std::vector<core::EncryptedQuery>& queries,
+      RequestScratch* scratch);
 
-  /// Read-path twin of MakeSelectResponse: proof from the pinned
-  /// relation snapshot's frozen tree/epoch/attestation.
+  /// Renders one select outcome as its wire envelope — kSelectResult with
+  /// the proofs from the pinned relation's frozen tree/epoch/attestation
+  /// (integrity on), or a kError.
   protocol::Envelope MakeSnapshotSelectResponse(SnapshotSelectOutcome* outcome,
-                                                ReadScratch* scratch);
+                                                RequestScratch* scratch);
 
-  /// After a snapshot scan missed the frozen index, best-effort memoize
-  /// the scan result into the live index: try-lock the dispatch mutex
-  /// and, if the live document state is still the generation the
-  /// snapshot was pinned at (doc_generation match — index/attestation
-  /// churn in between is harmless), memoize + republish. Skipped on
-  /// contention or staleness — a pure performance loss, never a
-  /// correctness one.
-  void TryMemoizeFromSnapshot(const std::string& relation,
-                              const RelationSnapshot* pinned,
-                              const Bytes& trapdoor_bytes,
-                              const swp::Trapdoor& trapdoor,
-                              const std::vector<uint64_t>& postings);
+  /// Memoizes each candidate into its live relation's index while that
+  /// relation's documents are still the generation the scan read (a
+  /// drop, re-store, append or matching delete since makes it stale and
+  /// it is skipped). Caller holds the dispatch lock; republishes lazily
+  /// (marks the relation dirty).
+  void MemoizeLocked(const std::vector<MemoCandidate>& candidates);
+
+  /// The lock-free readers' memoization: try-lock the dispatch mutex,
+  /// MemoizeLocked, republish. Skipped on contention — a pure
+  /// performance loss (the next scan of the trapdoor tries again), never
+  /// a correctness one. Never called with the dispatch lock held.
+  void TryMemoizeFromSnapshot(const std::vector<MemoCandidate>& candidates);
 
   // ---------------- snapshot publication (dispatch lock held) -----------
 
-  /// Escalates a relation's dirty level (kAppend does not downgrade
-  /// kFull, etc.) and flags the server snapshot stale.
-  void MarkDirtyLocked(StoredRelation* stored, SnapshotDirty level);
+  /// Flags a relation's published view stale (and the server snapshot
+  /// with it); `documents_changed` also stamps a new doc_generation.
+  void MarkDirtyLocked(StoredRelation* stored, bool documents_changed);
 
-  /// Rebuilds `stored`'s frozen view at the recorded dirty level —
-  /// sharing chunks/tree with the previous snapshot where unchanged —
-  /// then swaps a fresh ServerSnapshot. No-op when nothing is stale.
+  /// Seals `stored`'s pending appends into one new chunk at the end of
+  /// its document list — or, past the chunk budget, coalesces the whole
+  /// list into one chunk.
+  void SealPendingLocked(StoredRelation* stored);
+
+  /// Republishes every dirty relation — sharing document chunks with
+  /// the previous snapshot — then swaps a fresh ServerSnapshot. No-op
+  /// when nothing is stale.
   void PublishDirtyLocked();
-  std::shared_ptr<const RelationSnapshot> BuildRelationSnapshotLocked(
-      const StoredRelation& stored) const;
-
-  /// The planner's borrowed view of one stored relation (valid under the
-  /// dispatch lock only). Null index when the runtime option is off.
-  planner::ExecutionContext ContextFor(StoredRelation* stored);
 
   /// Write-ahead point for a mutating envelope: hands it to the mutation
   /// hook (if any) before the typed handler applies it. kUnavailable on
@@ -665,11 +640,10 @@ class UntrustedServer {
   /// snapshot back into one chunk (bounds PositionOf's probe count).
   static constexpr size_t kMaxSnapshotChunks = 16;
 
-  /// Completes `cur` from `trace`, stages it as a ring entry (under
-  /// stats_mutex_, folding the ring when it fills), and emits the
-  /// slow-query log line. Callable from any request thread.
-  void RecordRequestMetrics(const obs::QueryTrace& trace,
-                            PendingRequestStat* cur,
+  /// Completes `scratch->cur` from `scratch->trace`, stages it as a ring
+  /// entry (under stats_mutex_, folding the ring when it fills), and
+  /// emits the slow-query log line. Callable from any request thread.
+  void RecordRequestMetrics(RequestScratch* scratch,
                             protocol::MessageType request_type,
                             protocol::MessageType response_type,
                             uint64_t handle_micros);
@@ -678,33 +652,23 @@ class UntrustedServer {
   /// Caller holds stats_mutex_.
   void FlushPendingStatsLocked();
 
-  /// Recomputes the derived gauges (relation count, trapdoor-index
-  /// aggregates) from the live relation map and folds staged request
-  /// stats. Caller holds the dispatch lock (the in-dispatch kStats
-  /// handler); the lock-free twin below serves everything else.
-  void RefreshGaugesLocked();
-
-  /// As above, but derived from a pinned snapshot — the lock-free stats
-  /// path (kStats reads, CollectStats/scrape). Mutations republish
-  /// before acknowledging, so at any quiescent point the two agree.
+  /// Folds staged request stats and recomputes the derived gauges
+  /// (relation count, trapdoor-index aggregates, reader hit/miss
+  /// counts) from a pinned snapshot (kStats, CollectStats/scrape).
+  /// Mutations republish before acknowledging, so at any quiescent
+  /// point the snapshot's gauges are the live state's.
   void RefreshGaugesFromSnapshot(const ServerSnapshot& snap);
-
-  /// Shared tail of both gauge refreshers: index totals + auditor.
-  void SetIndexGauges(const planner::TrapdoorIndex::Stats& totals,
-                      int64_t trapdoors, int64_t postings,
-                      int64_t at_capacity);
 
   /// Lazily started worker pool (no threads until the first scan);
   /// concurrent readers race here, so initialization is call_once.
   runtime::ThreadPool* pool();
   size_t ShardCount();
 
-  storage::HeapFile heap_;
   std::map<std::string, StoredRelation> relations_;
   ObservationLog log_;
   /// Eve's-view leakage statistics (null when disabled). Thread-safe
-  /// behind its own internal mutex; fed by the locked and snapshot
-  /// select/delete pipelines alike.
+  /// behind its own internal mutex; fed by the select and delete
+  /// pipelines alike.
   std::unique_ptr<obs::leakage::LeakageAuditor> auditor_;
 
   ServerRuntimeOptions runtime_options_;
@@ -719,7 +683,7 @@ class UntrustedServer {
   /// log_mutex_, never the reverse.
   std::mutex log_mutex_;
   /// Guards the pending-stats ring (and the lazy op-counter cache):
-  /// locked requests and snapshot readers both stage entries.
+  /// every request thread stages entries.
   std::mutex stats_mutex_;
   /// The published immutable state the read path executes against.
   /// Replaced under the dispatch lock, pinned (shared_ptr copy) by any
@@ -735,9 +699,14 @@ class UntrustedServer {
   bool snapshot_stale_ = true;
   /// Source of doc_generation stamps (monotone across all relations).
   uint64_t doc_generation_counter_ = 0;
-  /// Frozen-index consultations by snapshot readers (Peek is stats-free
-  /// so the frozen copy stays immutable; the gauges add these to the
-  /// live index's own counts).
+  /// Source of record ids: every stored or appended document takes the
+  /// next value, in storage order, so ids are never reused within a
+  /// server's lifetime (a restore continues the count), and recovery —
+  /// image restore plus WAL replay on a fresh server — reassigns the
+  /// same ids every time.
+  uint64_t next_record_id_ = 0;
+  /// Frozen-index consultations by readers (Peek keeps the frozen copy
+  /// immutable, so the hit/miss gauges come from these alone).
   std::atomic<uint64_t> reader_index_hits_{0};
   std::atomic<uint64_t> reader_index_misses_{0};
   /// Debug-only: the one transport allowed to dispatch MUTATIONS, when
@@ -754,17 +723,6 @@ class UntrustedServer {
   /// looked up by the raw type byte (no map walk in the fold loop).
   /// Guarded by stats_mutex_ with the ring.
   std::array<obs::Counter*, 256> op_counters_{};
-  /// The CURRENT locked request's stage trace. Valid under the dispatch
-  /// lock (exactly one locked request is live at a time); the select
-  /// pipeline and proof builder accumulate into it, HandleRequest folds
-  /// it into the histograms when the request completes. Snapshot readers
-  /// never touch it — they carry a ReadScratch.
-  obs::QueryTrace trace_;
-  /// The CURRENT locked request's staged metric deltas (same contract
-  /// as trace_): the select pipeline and proof builder add their
-  /// per-path spans here, RecordRequestMetrics completes the entry and
-  /// appends it to pending_.
-  PendingRequestStat cur_;
   /// Completed-but-unfolded request entries; folded into the registry by
   /// FlushPendingStatsLocked (ring full, or any stats read). Guarded by
   /// stats_mutex_.

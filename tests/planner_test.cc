@@ -15,11 +15,8 @@
 #include "client/client.h"
 #include "crypto/random.h"
 #include "dbph/scheme.h"
-#include "server/planner/planner.h"
-#include "server/planner/trapdoor_index.h"
 #include "server/untrusted_server.h"
 #include "sql/executor.h"
-#include "storage/heapfile.h"
 
 namespace dbph {
 namespace {
@@ -28,11 +25,7 @@ using rel::Relation;
 using rel::Schema;
 using rel::Value;
 using rel::ValueType;
-using server::planner::AccessPath;
-using server::planner::ExecutionContext;
-using server::planner::PlanExecutor;
-using server::planner::SelectTask;
-using server::planner::TrapdoorIndex;
+using protocol::PlanAccessPath;
 
 Schema TableSchema() {
   auto s = Schema::Create({
@@ -51,25 +44,6 @@ Relation BuildTable(size_t n) {
                     .ok());
   }
   return table;
-}
-
-Bytes SerializeDoc(const swp::EncryptedDocument& doc) {
-  Bytes out;
-  doc.AppendTo(&out);
-  return out;
-}
-
-/// Byte-level equality of two match lists: same rids, same documents,
-/// same order.
-void ExpectSameMatches(const std::vector<server::runtime::ShardMatch>& a,
-                       const std::vector<server::runtime::ShardMatch>& b,
-                       const std::string& context) {
-  ASSERT_EQ(a.size(), b.size()) << context;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].rid.Pack(), b[i].rid.Pack()) << context << " match " << i;
-    EXPECT_EQ(SerializeDoc(a[i].doc), SerializeDoc(b[i].doc))
-        << context << " match " << i;
-  }
 }
 
 /// Full equality of two observation logs, entry by entry.
@@ -96,34 +70,34 @@ void ExpectSameLogs(const server::ObservationLog& a,
   }
 }
 
-// ---------------- planner + index against raw storage ----------------
+// ---------------- select pipeline + index maintenance ----------------
 
-/// A tiny relation materialized into a heap file, driven through the
-/// PlanExecutor directly (no server), with an index-enabled and an
-/// index-free context over the same storage.
+/// A tiny encrypted relation stored on two servers — trapdoor index on
+/// and off — and driven through the typed API (Select, SelectBatch,
+/// Explain, AppendTuples, DeleteWhere). The index-off server is the
+/// oracle: every select must return byte-identical documents from both,
+/// whichever access path the index-on server took.
 class PlannerStorageTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Deploy(server::ServerRuntimeOptions{}); }
+
+  /// (Re)creates both servers with `options` (index forced on / off)
+  /// and stores the same 40-row ciphertext on each.
+  void Deploy(server::ServerRuntimeOptions options) {
     crypto::HmacDrbg rng("planner-storage", 7);
     auto ph = core::DatabasePh::Create(TableSchema(), ToBytes("planner key"));
     ASSERT_TRUE(ph.ok());
     ph_ = std::make_unique<core::DatabasePh>(std::move(*ph));
     auto encrypted = ph_->EncryptRelation(BuildTable(40), &rng);
     ASSERT_TRUE(encrypted.ok());
-    check_length_ = encrypted->check_length;
-    for (const auto& doc : encrypted->documents) {
-      records_.push_back(heap_.Insert(SerializeDoc(doc)));
-    }
-  }
-
-  ExecutionContext Context(bool with_index) {
-    ExecutionContext ctx;
-    ctx.heap = &heap_;
-    ctx.records = &records_;
-    ctx.check_length = check_length_;
-    ctx.num_shards = 3;
-    ctx.index = with_index ? &index_ : nullptr;
-    return ctx;
+    options.num_threads = 1;
+    options.num_shards = 3;
+    options.enable_trapdoor_index = true;
+    on_ = std::make_unique<server::UntrustedServer>(options);
+    options.enable_trapdoor_index = false;
+    off_ = std::make_unique<server::UntrustedServer>(options);
+    ASSERT_TRUE(on_->StoreRelation(*encrypted).ok());
+    ASSERT_TRUE(off_->StoreRelation(*encrypted).ok());
   }
 
   core::EncryptedQuery Query(const std::string& attribute,
@@ -133,218 +107,201 @@ class PlannerStorageTest : public ::testing::Test {
     return *q;
   }
 
-  server::planner::PlannedOutcome RunOne(const core::EncryptedQuery& query,
-                                         bool with_index) {
-    SelectTask task;
-    task.ctx = Context(with_index);
-    task.query = &query;
-    PlanExecutor executor(nullptr);  // inline scans
-    auto outcomes = executor.Execute({task});
-    EXPECT_TRUE(outcomes[0].status.ok()) << outcomes[0].status;
-    return std::move(outcomes[0]);
+  /// Selects on both servers; asserts byte-identical documents (same
+  /// bytes, same order) and returns them.
+  std::vector<Bytes> Select(const core::EncryptedQuery& query,
+                            const std::string& context) {
+    auto with = on_->Select(query);
+    auto without = off_->Select(query);
+    EXPECT_TRUE(with.ok()) << context << ": " << with.status();
+    EXPECT_TRUE(without.ok()) << context << ": " << without.status();
+    if (!with.ok() || !without.ok()) return {};
+    std::vector<Bytes> a = Serialize(*with);
+    EXPECT_EQ(a, Serialize(*without)) << context;
+    return a;
+  }
+
+  /// The plan the index-on server would run for `query` right now.
+  protocol::PlanReport Explain(const core::EncryptedQuery& query) {
+    auto report = on_->Explain(query);
+    EXPECT_TRUE(report.ok()) << report.status();
+    return report.ok() ? *report : protocol::PlanReport{};
+  }
+
+  int64_t Gauge(const std::string& name) {
+    return on_->CollectStats().gauges.at(name);
+  }
+
+  /// Appends the same 10 freshly encrypted rows (two per group) to both
+  /// servers.
+  void AppendTen(uint64_t seed) {
+    crypto::HmacDrbg rng("planner-append", seed);
+    auto extra = ph_->EncryptRelation(BuildTable(10), &rng);
+    ASSERT_TRUE(extra.ok());
+    ASSERT_TRUE(on_->AppendTuples("T", extra->documents).ok());
+    ASSERT_TRUE(off_->AppendTuples("T", extra->documents).ok());
+  }
+
+  static std::vector<Bytes> Serialize(
+      const std::vector<swp::EncryptedDocument>& docs) {
+    std::vector<Bytes> out(docs.size());
+    for (size_t i = 0; i < docs.size(); ++i) docs[i].AppendTo(&out[i]);
+    return out;
   }
 
   std::unique_ptr<core::DatabasePh> ph_;
-  storage::HeapFile heap_;
-  std::vector<storage::RecordId> records_;
-  uint32_t check_length_ = 4;
-  TrapdoorIndex index_;
+  std::unique_ptr<server::UntrustedServer> on_;
+  std::unique_ptr<server::UntrustedServer> off_;
 };
 
 TEST_F(PlannerStorageTest, FirstScanMemoizesSecondHitsIndexIdentically) {
   core::EncryptedQuery query = Query("grp", Value::Int(2));
+  auto plan = Explain(query);
+  EXPECT_EQ(plan.access_path, PlanAccessPath::kFullScan);
+  EXPECT_TRUE(plan.will_memoize);
 
-  auto first = RunOne(query, true);
-  EXPECT_EQ(first.plan.path, AccessPath::kFullScan);
-  EXPECT_TRUE(first.plan.will_memoize);
-  EXPECT_EQ(index_.num_trapdoors(), 1u);
-  EXPECT_FALSE(first.matches.empty());
+  std::vector<Bytes> first = Select(query, "first (scan)");
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(Gauge("dbph_index_trapdoors"), 1);
+  EXPECT_EQ(Gauge("dbph_index_misses"), 1);
 
-  auto second = RunOne(query, true);
-  EXPECT_EQ(second.plan.path, AccessPath::kIndexLookup);
-  EXPECT_EQ(second.plan.posting_size, first.matches.size());
-  ExpectSameMatches(first.matches, second.matches, "scan vs index");
+  plan = Explain(query);
+  EXPECT_EQ(plan.access_path, PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(plan.posting_size, first.size());
+  // Plan-only inspection (EXPLAIN) leaves the hit/miss counts
+  // untouched — they measure queries served, not plans printed.
+  EXPECT_EQ(Gauge("dbph_index_hits"), 0);
 
-  // And both equal an index-free scan of the same storage.
-  auto scan = RunOne(query, false);
-  EXPECT_EQ(scan.plan.path, AccessPath::kFullScan);
-  ExpectSameMatches(scan.matches, second.matches, "no-index vs index");
-
-  // Plan-only inspection (EXPLAIN) sees the same plan but leaves the
-  // hit/miss stats untouched — they measure queries served, not plans
-  // printed.
-  uint64_t hits_before = index_.stats().hits;
-  Bytes trapdoor_bytes;
-  query.trapdoor.AppendTo(&trapdoor_bytes);
-  auto explained = server::planner::PlanSelect(
-      Context(true), trapdoor_bytes, nullptr, /*record_stats=*/false);
-  EXPECT_EQ(explained.path, AccessPath::kIndexLookup);
-  EXPECT_EQ(index_.stats().hits, hits_before);
+  EXPECT_EQ(Select(query, "second (index)"), first);
+  EXPECT_EQ(Gauge("dbph_index_hits"), 1);
 }
 
 TEST_F(PlannerStorageTest, EmptyResultIsMemoizedAsARealAnswer) {
   core::EncryptedQuery query = Query("name", Value::Str("nobody"));
-  auto first = RunOne(query, true);
-  EXPECT_TRUE(first.matches.empty());
-  auto second = RunOne(query, true);
-  EXPECT_EQ(second.plan.path, AccessPath::kIndexLookup);
-  EXPECT_TRUE(second.matches.empty());
-  EXPECT_EQ(index_.stats().hits, 1u);
+  EXPECT_TRUE(Select(query, "first").empty());
+  auto plan = Explain(query);
+  EXPECT_EQ(plan.access_path, PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(plan.posting_size, 0u);
+  EXPECT_TRUE(Select(query, "second").empty());
+  EXPECT_EQ(Gauge("dbph_index_hits"), 1);
 }
 
 TEST_F(PlannerStorageTest, DuplicateTrapdoorsInOneWaveMemoizeOnce) {
   core::EncryptedQuery query = Query("grp", Value::Int(1));
-  SelectTask a, b;
-  a.ctx = b.ctx = Context(true);
-  a.query = b.query = &query;
-  PlanExecutor executor(nullptr);
-  auto outcomes = executor.Execute({a, b});
-  ASSERT_TRUE(outcomes[0].status.ok());
-  ASSERT_TRUE(outcomes[1].status.ok());
-  // Both planned before either scanned: both full scans, identical
-  // results, exactly one memo entry afterwards.
-  EXPECT_EQ(outcomes[0].plan.path, AccessPath::kFullScan);
-  EXPECT_EQ(outcomes[1].plan.path, AccessPath::kFullScan);
-  ExpectSameMatches(outcomes[0].matches, outcomes[1].matches, "dup wave");
-  EXPECT_EQ(index_.num_trapdoors(), 1u);
+  auto outcomes = on_->SelectBatch({query, query});
+  ASSERT_EQ(outcomes.size(), 2u);
+  ASSERT_TRUE(outcomes[0].ok());
+  ASSERT_TRUE(outcomes[1].ok());
+  // Both planned against the same snapshot before either scanned: both
+  // full scans, identical results, exactly one memo entry afterwards.
+  EXPECT_EQ(Gauge("dbph_index_misses"), 2);
+  EXPECT_EQ(Gauge("dbph_index_hits"), 0);
+  EXPECT_EQ(Serialize(*outcomes[0]), Serialize(*outcomes[1]));
+  EXPECT_EQ(Gauge("dbph_index_trapdoors"), 1);
+  EXPECT_EQ(Gauge("dbph_index_memoized"), 1);
 
-  auto repeat = RunOne(query, true);
-  EXPECT_EQ(repeat.plan.path, AccessPath::kIndexLookup);
-  ExpectSameMatches(outcomes[0].matches, repeat.matches, "dup repeat");
+  EXPECT_EQ(Select(query, "dup repeat"), Serialize(*outcomes[0]));
+  EXPECT_EQ(Gauge("dbph_index_hits"), 1);
 }
 
 TEST_F(PlannerStorageTest, OnAppendExtendsPostingListsExactly) {
   core::EncryptedQuery query = Query("grp", Value::Int(3));
-  auto before = RunOne(query, true);  // memoize
-
-  // Append 10 more documents (two of each group) the way the server
-  // does: heap insert + records push + OnAppend with the new pairs.
-  crypto::HmacDrbg rng("planner-append", 9);
-  auto extra = ph_->EncryptRelation(BuildTable(10), &rng);
-  ASSERT_TRUE(extra.ok());
-  std::vector<std::pair<uint64_t, const swp::EncryptedDocument*>> added;
-  for (const auto& doc : extra->documents) {
-    storage::RecordId rid = heap_.Insert(SerializeDoc(doc));
-    records_.push_back(rid);
-    added.emplace_back(rid.Pack(), &doc);
-  }
-  index_.OnAppend(check_length_, added);
-
-  auto indexed = RunOne(query, true);
-  EXPECT_EQ(indexed.plan.path, AccessPath::kIndexLookup);
-  EXPECT_GT(indexed.matches.size(), before.matches.size());
-  auto scanned = RunOne(query, false);
-  ExpectSameMatches(scanned.matches, indexed.matches, "post-append");
+  std::vector<Bytes> before = Select(query, "memoize");
+  AppendTen(9);
+  EXPECT_EQ(Explain(query).access_path, PlanAccessPath::kIndexLookup);
+  std::vector<Bytes> after = Select(query, "post-append");
+  EXPECT_GT(after.size(), before.size());
 }
 
 TEST_F(PlannerStorageTest, OnDeleteDropsRemovedRecordsExactly) {
   core::EncryptedQuery query = Query("grp", Value::Int(4));
-  auto before = RunOne(query, true);  // memoize
-  ASSERT_GE(before.matches.size(), 2u);
+  std::vector<Bytes> before = Select(query, "memoize");
+  ASSERT_GE(before.size(), 2u);
 
-  // Delete every second match, server-style.
-  std::vector<uint64_t> removed;
-  std::vector<storage::RecordId> kept;
-  for (size_t i = 0; i < records_.size(); ++i) kept.push_back(records_[i]);
-  for (size_t i = 0; i < before.matches.size(); i += 2) {
-    storage::RecordId rid = before.matches[i].rid;
-    removed.push_back(rid.Pack());
-    ASSERT_TRUE(heap_.Delete(rid).ok());
-    kept.erase(std::find(kept.begin(), kept.end(), rid));
+  // Delete two of the memoized matches (rows n4 and n14 are in group 4)
+  // through other trapdoors, so the memoized list loses a subset.
+  for (const char* name : {"n4", "n14"}) {
+    core::EncryptedQuery by_name = Query("name", Value::Str(name));
+    auto on_removed = on_->DeleteWhere(by_name);
+    auto off_removed = off_->DeleteWhere(by_name);
+    ASSERT_TRUE(on_removed.ok());
+    ASSERT_TRUE(off_removed.ok());
+    EXPECT_EQ(*on_removed, *off_removed);
   }
-  records_ = std::move(kept);
-  index_.OnDelete(removed);
 
-  auto indexed = RunOne(query, true);
-  EXPECT_EQ(indexed.plan.path, AccessPath::kIndexLookup);
-  auto scanned = RunOne(query, false);
-  ExpectSameMatches(scanned.matches, indexed.matches, "post-delete");
+  EXPECT_EQ(Explain(query).access_path, PlanAccessPath::kIndexLookup);
+  std::vector<Bytes> after = Select(query, "post-delete");
+  EXPECT_EQ(after.size(), before.size() - 2);
 }
 
 TEST_F(PlannerStorageTest, OverBudgetAppendInvalidatesInsteadOfStalling) {
-  index_.set_max_append_evals(4);
+  server::ServerRuntimeOptions options;
+  options.max_index_append_evals = 4;
+  Deploy(options);
   core::EncryptedQuery query = Query("grp", Value::Int(2));
-  (void)RunOne(query, true);  // memoize (1 trapdoor)
-  ASSERT_EQ(index_.num_trapdoors(), 1u);
+  (void)Select(query, "memoize");  // 1 trapdoor
+  ASSERT_EQ(Gauge("dbph_index_trapdoors"), 1);
 
   // 1 memoized trapdoor x 10 new documents = 10 evaluations > budget 4:
   // the memo is dropped rather than maintained under the lock.
-  crypto::HmacDrbg rng("planner-budget", 3);
-  auto extra = ph_->EncryptRelation(BuildTable(10), &rng);
-  ASSERT_TRUE(extra.ok());
-  std::vector<std::pair<uint64_t, const swp::EncryptedDocument*>> added;
-  for (const auto& doc : extra->documents) {
-    storage::RecordId rid = heap_.Insert(SerializeDoc(doc));
-    records_.push_back(rid);
-    added.emplace_back(rid.Pack(), &doc);
-  }
-  index_.OnAppend(check_length_, added);
-  EXPECT_EQ(index_.num_trapdoors(), 0u);
-  EXPECT_EQ(index_.stats().invalidations, 1u);
+  AppendTen(3);
+  EXPECT_EQ(Gauge("dbph_index_trapdoors"), 0);
+  EXPECT_EQ(Gauge("dbph_index_invalidations"), 1);
 
   // Cold again, still correct: the next select rescans and re-memoizes.
-  auto rebuilt = RunOne(query, true);
-  EXPECT_EQ(rebuilt.plan.path, AccessPath::kFullScan);
-  ExpectSameMatches(RunOne(query, false).matches,
-                    RunOne(query, true).matches, "post-invalidation");
+  EXPECT_EQ(Explain(query).access_path, PlanAccessPath::kFullScan);
+  std::vector<Bytes> rebuilt = Select(query, "post-invalidation scan");
+  EXPECT_EQ(Explain(query).access_path, PlanAccessPath::kIndexLookup);
+  EXPECT_EQ(Select(query, "post-invalidation index"), rebuilt);
 }
 
 TEST_F(PlannerStorageTest, AppendBudgetMaintainsWhatItCanEvictsTheRest) {
   // Two memoized trapdoors, budget 12, append 10 documents: the first
   // entry is maintained (10 <= 12), the second would exceed the budget
   // and is evicted instead of served stale.
+  server::ServerRuntimeOptions options;
+  options.max_index_append_evals = 12;
+  Deploy(options);
   core::EncryptedQuery q0 = Query("grp", Value::Int(0));
   core::EncryptedQuery q1 = Query("grp", Value::Int(1));
-  (void)RunOne(q0, true);
-  (void)RunOne(q1, true);
-  ASSERT_EQ(index_.num_trapdoors(), 2u);
-  index_.set_max_append_evals(12);
+  (void)Select(q0, "memoize q0");
+  (void)Select(q1, "memoize q1");
+  ASSERT_EQ(Gauge("dbph_index_trapdoors"), 2);
 
-  crypto::HmacDrbg rng("planner-partial", 4);
-  auto extra = ph_->EncryptRelation(BuildTable(10), &rng);
-  ASSERT_TRUE(extra.ok());
-  std::vector<std::pair<uint64_t, const swp::EncryptedDocument*>> added;
-  for (const auto& doc : extra->documents) {
-    storage::RecordId rid = heap_.Insert(SerializeDoc(doc));
-    records_.push_back(rid);
-    added.emplace_back(rid.Pack(), &doc);
-  }
-  index_.OnAppend(check_length_, added);
-  EXPECT_EQ(index_.num_trapdoors(), 1u);
-  EXPECT_EQ(index_.stats().invalidations, 1u);
+  AppendTen(4);
+  EXPECT_EQ(Gauge("dbph_index_trapdoors"), 1);
+  EXPECT_EQ(Gauge("dbph_index_invalidations"), 1);
 
   // Whichever entry survived serves exactly; the evicted one rescans
   // exactly. Both must equal the index-free scan post-append.
-  for (const core::EncryptedQuery* q : {&q0, &q1}) {
-    auto with = RunOne(*q, true);
-    auto without = RunOne(*q, false);
-    ExpectSameMatches(without.matches, with.matches, "partial maintenance");
-  }
+  (void)Select(q0, "partial maintenance q0");
+  (void)Select(q1, "partial maintenance q1");
 }
 
 TEST_F(PlannerStorageTest, CapacityBoundsMemoizationWithoutBreakingResults) {
-  index_.set_max_trapdoors(2);
+  server::ServerRuntimeOptions options;
+  options.max_indexed_trapdoors = 2;
+  Deploy(options);
   core::EncryptedQuery q0 = Query("grp", Value::Int(0));
   core::EncryptedQuery q1 = Query("grp", Value::Int(1));
   core::EncryptedQuery q2 = Query("grp", Value::Int(2));
-  (void)RunOne(q0, true);
-  (void)RunOne(q1, true);
-  EXPECT_TRUE(index_.AtCapacity());
+  (void)Select(q0, "memoize q0");
+  (void)Select(q1, "memoize q1");
+  EXPECT_EQ(Gauge("dbph_index_relations_at_capacity"), 1);
 
   // The third trapdoor is not memoized: it plans as a non-memoizing
   // scan, repeats keep scanning, and results still match the
   // index-free scan exactly.
-  auto third = RunOne(q2, true);
-  EXPECT_EQ(third.plan.path, AccessPath::kFullScan);
-  EXPECT_FALSE(third.plan.will_memoize);
-  EXPECT_EQ(index_.num_trapdoors(), 2u);
-  auto repeat = RunOne(q2, true);
-  EXPECT_EQ(repeat.plan.path, AccessPath::kFullScan);
-  ExpectSameMatches(RunOne(q2, false).matches, repeat.matches, "at capacity");
+  auto third = Explain(q2);
+  EXPECT_EQ(third.access_path, PlanAccessPath::kFullScan);
+  EXPECT_FALSE(third.will_memoize);
+  (void)Select(q2, "at capacity");
+  EXPECT_EQ(Gauge("dbph_index_trapdoors"), 2);
+  EXPECT_EQ(Explain(q2).access_path, PlanAccessPath::kFullScan);
+  (void)Select(q2, "at capacity repeat");
 
   // Entries memoized before the cap hit keep serving.
-  auto cached = RunOne(q0, true);
-  EXPECT_EQ(cached.plan.path, AccessPath::kIndexLookup);
+  EXPECT_EQ(Explain(q0).access_path, PlanAccessPath::kIndexLookup);
 }
 
 // ---------------- whole-server differential: index on vs off -------------

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -14,10 +15,10 @@
 #include "crypto/random.h"
 #include "dbph/scheme.h"
 #include "protocol/messages.h"
-#include "server/runtime/batch_executor.h"
-#include "server/runtime/sharded_relation.h"
 #include "server/runtime/thread_pool.h"
+#include "server/snapshot.h"
 #include "server/untrusted_server.h"
+#include "swp/search.h"
 
 namespace dbph {
 namespace {
@@ -65,45 +66,68 @@ TEST(ThreadPoolTest, ParallelForFromWithinATaskDoesNotDeadlock) {
   EXPECT_EQ(total.load(), 32);
 }
 
-TEST(ShardedRelationTest, AnyShardCountReproducesSequentialScan) {
+/// `docs` serialized into sealed chunks of at most `per_chunk` documents
+/// (record id = position + 1), the layout appends build.
+server::DocumentChunks Chunked(const std::vector<swp::EncryptedDocument>& docs,
+                               uint32_t check_length, size_t per_chunk) {
+  server::DocumentChunks chunks;
+  chunks.check_length = check_length;
+  for (size_t first = 0; first < docs.size(); first += per_chunk) {
+    std::vector<server::SnapshotDoc> run;
+    for (size_t i = first; i < std::min(first + per_chunk, docs.size());
+         ++i) {
+      Bytes serialized;
+      docs[i].AppendTo(&serialized);
+      run.push_back({i + 1, std::move(serialized)});
+    }
+    chunks.AppendChunk(server::SnapshotChunk::Sealed(std::move(run)));
+  }
+  return chunks;
+}
+
+TEST(DocumentScanTest, AnyShardCountReproducesSequentialScan) {
   crypto::HmacDrbg rng("sharded", 1);
   auto ph = core::DatabasePh::Create(TableSchema(), ToBytes("key"));
   ASSERT_TRUE(ph.ok());
   auto encrypted = ph->EncryptRelation(BuildTable(101), &rng);
   ASSERT_TRUE(encrypted.ok());
-
-  storage::HeapFile heap;
-  std::vector<storage::RecordId> records;
-  for (const auto& doc : encrypted->documents) {
-    Bytes serialized;
-    doc.AppendTo(&serialized);
-    records.push_back(heap.Insert(serialized));
-  }
   auto query = ph->EncryptQuery("T", "grp", Value::Int(3));
   ASSERT_TRUE(query.ok());
 
-  // Baseline: a single shard is by construction the sequential scan.
-  server::runtime::ShardedRelation whole(&heap, &records,
-                                         encrypted->check_length, 1);
-  std::vector<server::runtime::ShardMatch> expected;
-  ASSERT_TRUE(whole.ScanShard(0, query->trapdoor, &expected).ok());
+  // Baseline: the sequential scalar sweep, document by document.
+  swp::SwpParams params;
+  params.word_length = query->trapdoor.target.size();
+  params.check_length = encrypted->check_length;
+  std::vector<uint64_t> expected;
+  for (size_t i = 0; i < encrypted->documents.size(); ++i) {
+    if (!swp::SearchDocument(params, query->trapdoor, encrypted->documents[i])
+             .empty()) {
+      expected.push_back(i);
+    }
+  }
   ASSERT_FALSE(expected.empty());
 
-  for (size_t shards : {2u, 3u, 7u, 101u, 500u}) {
-    server::runtime::ShardedRelation view(&heap, &records,
-                                          encrypted->check_length, shards);
-    EXPECT_LE(view.num_shards(), records.size());
-    std::vector<server::runtime::ShardMatch> got;
-    for (size_t s = 0; s < view.num_shards(); ++s) {
-      ASSERT_TRUE(view.ScanShard(s, query->trapdoor, &got).ok());
-    }
-    ASSERT_EQ(got.size(), expected.size()) << shards << " shards";
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].rid, expected[i].rid);
-      Bytes a, b;
-      got[i].doc.AppendTo(&a);
-      expected[i].doc.AppendTo(&b);
-      EXPECT_EQ(a, b);
+  server::runtime::ThreadPool pool(3);
+  for (size_t per_chunk : {101u, 17u}) {
+    server::DocumentChunks chunks =
+        Chunked(encrypted->documents, encrypted->check_length, per_chunk);
+    for (size_t shards : {1u, 2u, 3u, 7u, 101u, 500u}) {
+      for (bool pooled : {false, true}) {
+        std::vector<server::SnapshotMatch> got;
+        ASSERT_TRUE(chunks
+                        .Scan(query->trapdoor, shards,
+                              pooled ? &pool : nullptr, &got)
+                        .ok());
+        ASSERT_EQ(got.size(), expected.size()) << shards << " shards";
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].position, expected[i]);
+          EXPECT_EQ(got[i].record_id, expected[i] + 1);
+          Bytes a, b;
+          got[i].doc.AppendTo(&a);
+          encrypted->documents[expected[i]].AppendTo(&b);
+          EXPECT_EQ(a, b);
+        }
+      }
     }
   }
 }
@@ -259,34 +283,42 @@ TEST(BatchSelectTest, ConcurrentBatchedClientsMatchSequentialBaseline) {
             queries_before + kThreads * kBatchesPerThread * queries.size());
 }
 
-TEST(BatchExecutorTest, NullPoolRunsInlineAndNullViewsAreSkipped) {
+TEST(DocumentScanTest, NullPoolRunsInline) {
   crypto::HmacDrbg rng("executor", 2);
   auto ph = core::DatabasePh::Create(TableSchema(), ToBytes("key"));
   ASSERT_TRUE(ph.ok());
   auto encrypted = ph->EncryptRelation(BuildTable(30), &rng);
   ASSERT_TRUE(encrypted.ok());
-  storage::HeapFile heap;
-  std::vector<storage::RecordId> records;
-  for (const auto& doc : encrypted->documents) {
-    Bytes serialized;
-    doc.AppendTo(&serialized);
-    records.push_back(heap.Insert(serialized));
-  }
-  server::runtime::ShardedRelation view(&heap, &records,
-                                        encrypted->check_length, 3);
+  server::DocumentChunks chunks =
+      Chunked(encrypted->documents, encrypted->check_length, 30);
   auto query = ph->EncryptQuery("T", "grp", Value::Int(1));
   ASSERT_TRUE(query.ok());
 
-  server::runtime::BatchExecutor executor(nullptr);
-  std::vector<server::runtime::SelectJob> jobs(2);
-  jobs[0].view = &view;
-  jobs[0].trapdoor = &query->trapdoor;
-  // jobs[1] stays unresolved (null view).
-  auto outcomes = executor.ExecuteSelects(jobs);
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].status.ok());
-  EXPECT_EQ(outcomes[0].matches.size(), 3u);  // 30 rows, grp = i % 10
-  EXPECT_TRUE(outcomes[1].matches.empty());
+  std::vector<server::SnapshotMatch> matches;
+  ASSERT_TRUE(
+      chunks.Scan(query->trapdoor, 3, /*pool=*/nullptr, &matches).ok());
+  EXPECT_EQ(matches.size(), 3u);  // 30 rows, grp = i % 10
+}
+
+TEST(BatchSelectTest, UnresolvedQueriesFailAloneInAWave) {
+  // One wave, one known and one unknown relation: the known query is
+  // answered and logged, the unknown one fails without an entry.
+  Deployment d;
+  ASSERT_TRUE(d.client.Outsource(BuildTable(30)).ok());
+  auto scheme = d.client.SchemeFor("T");
+  ASSERT_TRUE(scheme.ok());
+  auto known = (*scheme)->EncryptQuery("T", "grp", Value::Int(1));
+  ASSERT_TRUE(known.ok());
+  core::EncryptedQuery unknown = *known;
+  unknown.relation = "Nope";
+  size_t before = d.server.observations().queries().size();
+
+  auto results = d.server.SelectBatch({*known, unknown});
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_TRUE(results[0].ok());
+  EXPECT_EQ(results[0]->size(), 3u);
+  EXPECT_EQ(results[1].status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(d.server.observations().queries().size(), before + 1);
 }
 
 }  // namespace

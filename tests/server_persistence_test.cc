@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "client/client.h"
 #include "crypto/random.h"
@@ -148,6 +149,54 @@ TEST_F(PersistenceTest, LoadReplacesExistingState) {
   EXPECT_TRUE(other.observations().stores().empty());
 
   std::remove(path.c_str());
+}
+
+TEST_F(PersistenceTest, RecordIdsAreNeverReusedAndRestoreIsDeterministic) {
+  // The ids Eve logs for the last select.
+  auto last_ids = [this]() {
+    return server_.observations().queries().back().matched_records;
+  };
+  ASSERT_TRUE(client_->Select("Emp", "dept", Value::Str("IT")).ok());
+  std::vector<uint64_t> seen = last_ids();
+  ASSERT_TRUE(client_->Select("Emp", "dept", Value::Str("HR")).ok());
+  seen.push_back(last_ids().at(0));
+  ASSERT_EQ(seen.size(), 2u);
+
+  // A delete frees no id for reuse: the next append gets a fresh one.
+  ASSERT_TRUE(client_->DeleteWhere("Emp", "name", Value::Str("Smith")).ok());
+  ASSERT_TRUE(
+      client_->Insert("Emp", {Tuple({Value::Str("Brown"), Value::Str("IT")})})
+          .ok());
+  ASSERT_TRUE(client_->Select("Emp", "dept", Value::Str("IT")).ok());
+  ASSERT_EQ(last_ids().size(), 1u);
+  const uint64_t appended = last_ids()[0];
+  for (uint64_t id : seen) EXPECT_GT(appended, id);
+
+  // Nor does a drop: a re-stored relation's documents get fresh ids.
+  ASSERT_TRUE(client_->Drop("Emp").ok());
+  Relation emp("Emp", EmpSchema());
+  ASSERT_TRUE(emp.Insert({Value::Str("Jones"), Value::Str("HR")}).ok());
+  ASSERT_TRUE(client_->Outsource(emp).ok());
+  ASSERT_TRUE(client_->Select("Emp", "dept", Value::Str("HR")).ok());
+  ASSERT_EQ(last_ids().size(), 1u);
+  EXPECT_GT(last_ids()[0], appended);
+
+  // Restoring one image on fresh servers assigns the same ids.
+  auto image = server_.SerializeState();
+  ASSERT_TRUE(image.ok());
+  auto scheme = client_->SchemeFor("Emp");
+  ASSERT_TRUE(scheme.ok());
+  auto query = (*scheme)->EncryptQuery("Emp", "dept", Value::Str("HR"));
+  ASSERT_TRUE(query.ok());
+  std::vector<std::vector<uint64_t>> restored_ids;
+  for (int i = 0; i < 2; ++i) {
+    server::UntrustedServer fresh;
+    ASSERT_TRUE(fresh.RestoreState(*image).ok());
+    ASSERT_TRUE(fresh.Select(*query).ok());
+    restored_ids.push_back(
+        fresh.observations().queries().back().matched_records);
+  }
+  EXPECT_EQ(restored_ids[0], restored_ids[1]);
 }
 
 }  // namespace

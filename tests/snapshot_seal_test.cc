@@ -84,7 +84,7 @@ class SnapshotSealTest : public ::testing::Test {
       auto chunk = std::make_shared<SnapshotChunk>();
       const size_t end = std::min(first + docs_per_chunk, doc_bytes_.size());
       for (size_t i = first; i < end; ++i) {
-        chunk->docs.push_back({/*rid_packed=*/i + 1, doc_bytes_[i]});
+        chunk->docs.push_back({/*record_id=*/i + 1, doc_bytes_[i]});
       }
       chunk->Seal();
       snapshot->chunk_first.push_back(first);
@@ -102,7 +102,7 @@ class SnapshotSealTest : public ::testing::Test {
     EXPECT_TRUE(status.ok()) << status;
     std::vector<std::pair<uint64_t, uint64_t>> out;
     for (const SnapshotMatch& match : matches) {
-      out.emplace_back(match.position, match.rid_packed);
+      out.emplace_back(match.position, match.record_id);
     }
     return out;
   }
@@ -201,7 +201,7 @@ TEST_F(SnapshotSealTest, MixedArenaAndFallbackChunksScanConsistently) {
   for (size_t c = 0; c < 3; ++c) {
     auto chunk = std::make_shared<SnapshotChunk>();
     for (size_t i = c * 10; i < (c + 1) * 10; ++i) {
-      chunk->docs.push_back({/*rid_packed=*/i + 1, doc_bytes_[i]});
+      chunk->docs.push_back({/*record_id=*/i + 1, doc_bytes_[i]});
     }
     if (c == 1) {
       ArenaCapGuard guard(/*cap=*/4);

@@ -122,8 +122,8 @@ run_asan_stage() {
   # not a silent wrong answer.
   # crypto_search_tree_test rides the integrity label: proof verifiers
   # walk attacker-shaped neighbor lists. snapshot_seal_test is explicit:
-  # the seal-overflow fallback rebuilds chunks around a discarded arena,
-  # exactly where a stale ref would read out of bounds.
+  # it cuts chunks at a lowered offset cap and rewrites them with shifted
+  # refs, exactly where a stale ref would read out of bounds.
   cmake --build "$asan_dir" -j "$(nproc)" --target \
     planner_test sql_test mixed_batch_test differential_test \
     storage_heapfile_test \

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,9 +51,10 @@ void AppendUint64(Bytes* out, uint64_t v);
 
 /// \brief Cursor-style reader over a byte buffer, mirror of the Append*
 /// helpers. All reads are bounds-checked and return errors on truncation.
+/// The buffer is borrowed: it must outlive the reader.
 class ByteReader {
  public:
-  explicit ByteReader(const Bytes& data) : data_(data) {}
+  explicit ByteReader(std::span<const uint8_t> data) : data_(data) {}
 
   Result<uint32_t> ReadUint32();
   Result<uint64_t> ReadUint64();
@@ -64,7 +66,7 @@ class ByteReader {
   size_t remaining() const { return data_.size() - pos_; }
 
  private:
-  const Bytes& data_;
+  std::span<const uint8_t> data_;
   size_t pos_ = 0;
 };
 

@@ -3,106 +3,152 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/macros.h"
-
 namespace dbph {
 namespace server {
 
 namespace {
-/// See SetArenaCapForTesting. Plain (non-atomic) because tests set it
-/// on one thread before building snapshots; production never writes it.
-uint64_t g_arena_cap = 0xffffffffull;
+/// See SetCapForTesting. Plain (non-atomic) because tests set it on one
+/// thread before building chunks; production never writes it.
+uint64_t g_chunk_cap = 0xffffffffull;
 }  // namespace
 
-void SnapshotChunk::SetArenaCapForTesting(uint64_t cap) {
-  g_arena_cap = cap;
+// ------------------------------------------------------------ ChunkWriter
+
+void ChunkWriter::SetCapForTesting(uint64_t cap) { g_chunk_cap = cap; }
+
+SnapshotChunk& ChunkWriter::Open(uint64_t size) {
+  if (open_ != nullptr && open_->size() > 0 &&
+      open_->bytes.size() + size > g_chunk_cap) {
+    Finish();
+  }
+  if (open_ == nullptr) {
+    open_ = std::make_shared<SnapshotChunk>();
+    open_->doc_offset.push_back(0);
+    open_->word_first.push_back(0);
+  }
+  return *open_;
 }
 
-std::shared_ptr<const SnapshotChunk> SnapshotChunk::Sealed(
-    std::vector<SnapshotDoc> docs) {
-  auto chunk = std::make_shared<SnapshotChunk>();
-  chunk->docs = std::move(docs);
-  chunk->Seal();
-  return chunk;
+void ChunkWriter::Reserve(uint64_t docs, uint64_t words, uint64_t bytes) {
+  SnapshotChunk& chunk = Open(0);
+  chunk.bytes.reserve(chunk.bytes.size() + std::min(bytes, g_chunk_cap));
+  chunk.doc_offset.reserve(chunk.doc_offset.size() + docs);
+  chunk.record_ids.reserve(chunk.record_ids.size() + docs);
+  chunk.word_first.reserve(chunk.word_first.size() + docs);
+  chunk.word_refs.reserve(chunk.word_refs.size() + words);
 }
 
-void SnapshotChunk::Seal() {
-  pos_in_chunk.clear();
-  pos_in_chunk.reserve(docs.size());
-  for (size_t i = 0; i < docs.size(); ++i) {
-    pos_in_chunk.emplace(docs[i].record_id, static_cast<uint32_t>(i));
+void ChunkWriter::Reserve(const std::vector<swp::EncryptedDocument>& docs) {
+  uint64_t words = 0;
+  uint64_t bytes = 0;
+  for (const swp::EncryptedDocument& doc : docs) {
+    words += doc.words.size();
+    bytes += doc.SerializedSize();
   }
-
-  // Build the scan arena: every word ciphertext copied into one
-  // contiguous buffer, in (document, slot) order, so a trapdoor scan
-  // streams linearly. Word boundaries come from CollectWordRefs, which
-  // performs exactly the checks EncryptedDocument::ReadFrom does — a
-  // document it rejects is marked and re-parsed at scan time for the
-  // identical error status.
-  word_arena.clear();
-  word_refs.clear();
-  word_first.assign(1, 0);
-  doc_wellformed.assign(docs.size(), 1);
-  arena_built = true;
-  std::vector<swp::WordRef> doc_refs;
-  for (size_t i = 0; i < docs.size() && arena_built; ++i) {
-    doc_refs.clear();
-    if (!swp::CollectWordRefs(docs[i].bytes, &doc_refs).ok()) {
-      doc_wellformed[i] = 0;
-      word_first.push_back(static_cast<uint32_t>(word_refs.size()));
-      continue;
-    }
-    for (const swp::WordRef& ref : doc_refs) {
-      const uint64_t at = word_arena.size();
-      if (at + ref.length > g_arena_cap || word_refs.size() >= g_arena_cap) {
-        // Offsets would overflow the 32-bit refs; scans of this chunk
-        // fall back to the per-document scalar path.
-        arena_built = false;
-        break;
-      }
-      word_arena.insert(word_arena.end(), docs[i].bytes.begin() + ref.offset,
-                        docs[i].bytes.begin() + ref.offset + ref.length);
-      word_refs.push_back({static_cast<uint32_t>(at), ref.length});
-    }
-    word_first.push_back(static_cast<uint32_t>(word_refs.size()));
-  }
-  if (!arena_built) {
-    word_arena.clear();
-    word_refs.clear();
-    word_first.clear();
-    doc_wellformed.clear();
-  }
+  Reserve(docs.size(), words, bytes);
 }
+
+void ChunkWriter::EndDoc(uint64_t record_id) {
+  open_->record_ids.push_back(record_id);
+  open_->doc_offset.push_back(static_cast<uint32_t>(open_->bytes.size()));
+  open_->word_first.push_back(static_cast<uint32_t>(open_->word_refs.size()));
+}
+
+DocBytes ChunkWriter::Add(uint64_t record_id,
+                          const swp::EncryptedDocument& doc) {
+  SnapshotChunk& chunk = Open(doc.SerializedSize());
+  const size_t begin = chunk.bytes.size();
+  doc.AppendTo(&chunk.bytes);
+  const DocBytes stored(chunk.bytes.data() + begin,
+                        chunk.bytes.size() - begin);
+  // Cannot fail: the walk accepts whatever AppendTo writes. Its refs are
+  // relative to the document, so shift them to the chunk.
+  const size_t first = chunk.word_refs.size();
+  (void)swp::CollectWordRefs(stored, &chunk.word_refs);
+  for (size_t r = first; r < chunk.word_refs.size(); ++r) {
+    chunk.word_refs[r].offset += static_cast<uint32_t>(begin);
+  }
+  EndDoc(record_id);
+  return stored;
+}
+
+void ChunkWriter::Copy(const SnapshotChunk& from, size_t i) {
+  const DocBytes doc = from.doc(i);
+  SnapshotChunk& chunk = Open(doc.size());
+  const uint32_t src = from.doc_offset[i];
+  const uint32_t dst = static_cast<uint32_t>(chunk.bytes.size());
+  chunk.bytes.insert(chunk.bytes.end(), doc.begin(), doc.end());
+  for (uint32_t r = from.word_first[i]; r < from.word_first[i + 1]; ++r) {
+    const swp::WordRef& ref = from.word_refs[r];
+    chunk.word_refs.push_back({ref.offset - src + dst, ref.length});
+  }
+  EndDoc(from.record_ids[i]);
+}
+
+void ChunkWriter::Finish() {
+  if (open_ != nullptr) out_->AppendChunk(std::move(open_));
+  open_.reset();
+}
+
+// --------------------------------------------------------- DocumentChunks
 
 void DocumentChunks::AppendChunk(std::shared_ptr<const SnapshotChunk> chunk) {
-  if (chunk->docs.empty()) return;
+  if (chunk->size() == 0) return;
   chunk_first.push_back(num_docs);
-  num_docs += chunk->docs.size();
+  num_docs += chunk->size();
+  num_words += chunk->word_refs.size();
   chunks.push_back(std::move(chunk));
 }
 
-uint64_t DocumentChunks::PositionOf(uint64_t record_id) const {
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    auto it = chunks[c]->pos_in_chunk.find(record_id);
-    if (it != chunks[c]->pos_in_chunk.end()) {
-      return chunk_first[c] + it->second;
-    }
-  }
-  return kNotFound;
-}
-
-const SnapshotDoc& DocumentChunks::doc(uint64_t position) const {
-  // Find the chunk whose first position is the greatest <= position.
-  size_t c = static_cast<size_t>(
+size_t DocumentChunks::ChunkOf(uint64_t position) const {
+  // The chunk whose first position is the greatest <= position.
+  return static_cast<size_t>(
       std::upper_bound(chunk_first.begin(), chunk_first.end(), position) -
       chunk_first.begin() - 1);
-  return chunks[c]->docs[position - chunk_first[c]];
 }
 
-Result<swp::EncryptedDocument> DocumentChunks::ParseDoc(
-    uint64_t position) const {
-  ByteReader reader(doc(position).bytes);
-  return swp::EncryptedDocument::ReadFrom(&reader);
+uint64_t DocumentChunks::PositionOf(uint64_t record_id) const {
+  // Record ids strictly increase in storage order: the candidate chunk
+  // is the last one whose first id is <= record_id.
+  auto chunk = std::upper_bound(
+      chunks.begin(), chunks.end(), record_id,
+      [](uint64_t id, const std::shared_ptr<const SnapshotChunk>& c) {
+        return id < c->record_ids.front();
+      });
+  if (chunk == chunks.begin()) return kNotFound;
+  --chunk;
+  const std::vector<uint64_t>& ids = (*chunk)->record_ids;
+  auto it = std::lower_bound(ids.begin(), ids.end(), record_id);
+  if (it == ids.end() || *it != record_id) return kNotFound;
+  return chunk_first[chunk - chunks.begin()] + (it - ids.begin());
+}
+
+DocBytes DocumentChunks::doc(uint64_t position) const {
+  const size_t c = ChunkOf(position);
+  return chunks[c]->doc(position - chunk_first[c]);
+}
+
+DocumentChunks DocumentChunks::Compacted(
+    const std::vector<uint64_t>& removed) const {
+  DocumentChunks out;
+  out.check_length = check_length;
+  ChunkWriter writer(&out);
+  // Sized for every document, an upper bound on the survivors.
+  uint64_t bytes = 0;
+  for (const auto& chunk : chunks) bytes += chunk->bytes.size();
+  writer.Reserve(num_docs, num_words, bytes);
+  size_t next = 0;
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    for (size_t i = 0; i < chunks[c]->size(); ++i) {
+      if (next < removed.size() && removed[next] == chunk_first[c] + i) {
+        ++next;
+        continue;
+      }
+      writer.Copy(*chunks[c], i);
+    }
+  }
+  writer.Finish();
+  return out;
 }
 
 Status DocumentChunks::FetchPostings(const std::vector<uint64_t>& postings,
@@ -115,16 +161,15 @@ Status DocumentChunks::FetchPostings(const std::vector<uint64_t>& postings,
       // documents come from the same critical section. Fail closed.
       return Status::NotFound("record not found");
     }
-    DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument parsed, ParseDoc(position));
-    out->push_back({position, record_id, std::move(parsed)});
+    out->push_back({position, record_id, doc(position)});
   }
   return Status::OK();
 }
 
-Status DocumentChunks::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
-                            runtime::ThreadPool* pool,
-                            std::vector<SnapshotMatch>* out,
-                            uint64_t* match_evals) const {
+void DocumentChunks::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
+                          runtime::ThreadPool* pool,
+                          std::vector<SnapshotMatch>* out,
+                          uint64_t* match_evals) const {
   // Balanced contiguous split: the first (n % num_shards) shards get one
   // extra document, and shard order is storage order.
   const size_t n = num_docs;
@@ -146,96 +191,39 @@ Status DocumentChunks::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
   params.check_length = check_length;
 
   std::vector<std::vector<SnapshotMatch>> shard_matches(ranges.size());
-  std::vector<Status> shard_status(ranges.size(), Status::OK());
   std::vector<uint64_t> shard_evals(ranges.size(), 0);
 
-  // The scalar sweep over global positions [begin, end): parse every
-  // document, match every slot, keep matching documents in position
-  // order. Only chunks without an arena take it; the kernel sweep below
-  // is bit-identical to it.
-  const auto scan_scalar = [&](size_t shard, size_t begin, size_t end) {
-    auto& matches = shard_matches[shard];
-    for (size_t pos = begin; pos < end; ++pos) {
-      ByteReader reader(doc(pos).bytes);
-      auto parsed = swp::EncryptedDocument::ReadFrom(&reader);
-      if (!parsed.ok()) {
-        shard_status[shard] = parsed.status();
-        return false;
-      }
-      if (!swp::SearchDocument(params, trapdoor, *parsed).empty()) {
-        matches.push_back({pos, doc(pos).record_id, std::move(*parsed)});
-      }
-    }
-    return true;
-  };
-
-  // The kernel sweep: one MatchContext per shard (precomputed HMAC
-  // schedule + scratch), PRF evaluations batched through the multi-way
-  // compression kernel over each chunk's contiguous word arena. Only
-  // matching documents are parsed; a document CollectWordRefs rejected
-  // is re-parsed for the exact scalar-path error status.
-  const auto scan_kernel = [&](size_t shard) {
+  // One MatchContext per shard (precomputed HMAC schedule + scratch);
+  // each chunk's slice of the shard is one MatchMany over the chunk's
+  // bytes, the refs pointing at the word ciphertexts in place.
+  const auto scan_shard = [&](size_t shard) {
     swp::MatchContext context(params, trapdoor);
     std::vector<uint8_t> match_bits;
     auto& matches = shard_matches[shard];
     size_t pos = ranges[shard].first;
     const size_t end = ranges[shard].second;
-    if (pos >= end) return;
-    size_t c = static_cast<size_t>(
-        std::upper_bound(chunk_first.begin(), chunk_first.end(), pos) -
-        chunk_first.begin() - 1);
-    for (; pos < end; ++c) {
+    for (size_t c = pos < end ? ChunkOf(pos) : 0; pos < end; ++c) {
       const SnapshotChunk& chunk = *chunks[c];
       const size_t cbegin = chunk_first[c];
       const size_t a = pos - cbegin;
-      const size_t b = std::min(end - cbegin, chunk.docs.size());
-      if (!chunk.arena_built) {
-        if (!scan_scalar(shard, cbegin + a, cbegin + b)) return;
-        pos = cbegin + b;
-        continue;
+      const size_t b = std::min(end - cbegin, chunk.size());
+      const uint32_t rbegin = chunk.word_first[a];
+      const uint32_t rend = chunk.word_first[b];
+      match_bits.resize(rend - rbegin);
+      if (rend > rbegin) {
+        context.MatchMany(
+            chunk.bytes,
+            std::span<const swp::WordRef>(chunk.word_refs.data() + rbegin,
+                                          rend - rbegin),
+            match_bits.data());
       }
-      size_t d = a;
-      while (d < b) {
-        if (!chunk.doc_wellformed[d]) {
-          // Fail closed with the exact parse status the scalar path
-          // would have surfaced for this document.
-          shard_status[shard] = ParseDoc(cbegin + d).status();
-          shard_evals[shard] = context.match_evals();
-          return;
+      for (size_t d = a; d < b; ++d) {
+        const auto first = match_bits.begin() + (chunk.word_first[d] - rbegin);
+        const auto last =
+            match_bits.begin() + (chunk.word_first[d + 1] - rbegin);
+        if (std::find(first, last, 1) != last) {
+          matches.push_back({cbegin + d, chunk.record_ids[d], chunk.doc(d)});
         }
-        size_t e = d;
-        while (e < b && chunk.doc_wellformed[e]) ++e;
-        const uint32_t rbegin = chunk.word_first[d];
-        const uint32_t rend = chunk.word_first[e];
-        match_bits.resize(rend - rbegin);
-        if (rend > rbegin) {
-          context.MatchMany(
-              std::span<const uint8_t>(chunk.word_arena.data(),
-                                       chunk.word_arena.size()),
-              std::span<const swp::WordRef>(chunk.word_refs.data() + rbegin,
-                                            rend - rbegin),
-              match_bits.data());
-        }
-        for (size_t w = d; w < e; ++w) {
-          bool any = false;
-          for (uint32_t r = chunk.word_first[w]; r < chunk.word_first[w + 1];
-               ++r) {
-            if (match_bits[r - rbegin] != 0) {
-              any = true;
-              break;
-            }
-          }
-          if (!any) continue;
-          auto parsed = ParseDoc(cbegin + w);
-          if (!parsed.ok()) {  // unreachable: CollectWordRefs accepted it
-            shard_status[shard] = parsed.status();
-            shard_evals[shard] = context.match_evals();
-            return;
-          }
-          matches.push_back(
-              {cbegin + w, chunk.docs[w].record_id, std::move(*parsed)});
-        }
-        d = e;
       }
       pos = cbegin + b;
     }
@@ -243,22 +231,20 @@ Status DocumentChunks::Scan(const swp::Trapdoor& trapdoor, size_t num_shards,
   };
 
   if (pool != nullptr && ranges.size() > 1) {
-    pool->ParallelFor(ranges.size(), scan_kernel);
+    pool->ParallelFor(ranges.size(), scan_shard);
   } else {
-    for (size_t i = 0; i < ranges.size(); ++i) scan_kernel(i);
+    for (size_t i = 0; i < ranges.size(); ++i) scan_shard(i);
   }
 
   size_t total = 0;
   for (size_t i = 0; i < ranges.size(); ++i) {
     if (match_evals != nullptr) *match_evals += shard_evals[i];
-    DBPH_RETURN_IF_ERROR(shard_status[i]);
     total += shard_matches[i].size();
   }
   out->reserve(out->size() + total);
   for (auto& matches : shard_matches) {
-    for (auto& match : matches) out->push_back(std::move(match));
+    out->insert(out->end(), matches.begin(), matches.end());
   }
-  return Status::OK();
 }
 
 }  // namespace server

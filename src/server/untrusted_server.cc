@@ -55,6 +55,7 @@ void UntrustedServer::InitInstruments() {
   ins_.select_result_size =
       metrics_.GetHistogram("dbph_select_result_size", Unit::kCount);
   ins_.relations = metrics_.GetGauge("dbph_server_relations");
+  ins_.snapshot_chunks = metrics_.GetGauge("dbph_snapshot_chunks");
   ins_.index_trapdoors = metrics_.GetGauge("dbph_index_trapdoors");
   ins_.index_postings = metrics_.GetGauge("dbph_index_postings");
   ins_.index_hits = metrics_.GetGauge("dbph_index_hits");
@@ -249,7 +250,9 @@ void UntrustedServer::RefreshGaugesFromSnapshot(const ServerSnapshot& snap) {
   int64_t trapdoors = 0;
   int64_t postings = 0;
   int64_t at_capacity = 0;
+  int64_t chunks = 0;
   for (const auto& [name, rel] : snap.relations) {
+    chunks += static_cast<int64_t>(rel->chunks.size());
     if (rel->index == nullptr) continue;
     const planner::TrapdoorIndex::Stats& stats = rel->index->stats();
     totals.memoized += stats.memoized;
@@ -269,6 +272,7 @@ void UntrustedServer::RefreshGaugesFromSnapshot(const ServerSnapshot& snap) {
   ins_.index_trapdoors->Set(trapdoors);
   ins_.index_postings->Set(postings);
   ins_.index_at_capacity->Set(at_capacity);
+  ins_.snapshot_chunks->Set(chunks);
   if (auditor_ != nullptr) auditor_->RefreshMetrics();
 }
 
@@ -309,30 +313,6 @@ void UntrustedServer::MarkDirtyLocked(StoredRelation* stored,
   snapshot_stale_ = true;
 }
 
-void UntrustedServer::SealPendingLocked(StoredRelation* stored) {
-  if (stored->pending_append.empty()) return;
-  DocumentChunks& docs = stored->docs;
-  if (docs.chunks.size() < kMaxSnapshotChunks) {
-    docs.AppendChunk(SnapshotChunk::Sealed(std::move(stored->pending_append)));
-  } else {
-    // An append stream that exhausted the chunk budget: coalesce the
-    // whole relation back into one chunk.
-    std::vector<SnapshotDoc> all;
-    all.reserve(stored->num_docs());
-    for (const auto& chunk : docs.chunks) {
-      all.insert(all.end(), chunk->docs.begin(), chunk->docs.end());
-    }
-    for (SnapshotDoc& doc : stored->pending_append) {
-      all.push_back(std::move(doc));
-    }
-    DocumentChunks coalesced;
-    coalesced.check_length = docs.check_length;
-    coalesced.AppendChunk(SnapshotChunk::Sealed(std::move(all)));
-    docs = std::move(coalesced);
-  }
-  stored->pending_append.clear();
-}
-
 void UntrustedServer::PublishDirtyLocked() {
   if (!snapshot_stale_) return;
   auto next = std::make_shared<ServerSnapshot>();
@@ -340,7 +320,6 @@ void UntrustedServer::PublishDirtyLocked() {
     if (stored.dirty) {
       // The document chunks are shared, never copied; the index and the
       // trees are frozen by value.
-      SealPendingLocked(&stored);
       auto fresh = std::make_shared<RelationSnapshot>();
       static_cast<DocumentChunks&>(*fresh) = stored.docs;
       if (runtime_options_.enable_trapdoor_index) {
@@ -357,7 +336,6 @@ void UntrustedServer::PublishDirtyLocked() {
         fresh->search_signature = stored.search_signature;
       }
       fresh->doc_generation = stored.doc_generation;
-      fresh->word_slots = stored.word_slots;
       stored.published = std::move(fresh);
       stored.dirty = false;
     }
@@ -430,16 +408,16 @@ Status UntrustedServer::StoreRelationLocked(
   const bool integrity = runtime_options_.enable_integrity;
   std::vector<crypto::MerkleTree::Hash> leaves;
   if (integrity) leaves.reserve(relation.documents.size());
-  std::vector<SnapshotDoc> docs;
-  docs.reserve(relation.documents.size());
+  ChunkWriter writer(&stored.docs);
+  writer.Reserve(relation.documents);
   for (const auto& doc : relation.documents) {
-    Bytes serialized;
-    doc.AppendTo(&serialized);
-    if (integrity) leaves.push_back(crypto::MerkleTree::LeafHash(serialized));
-    stored.word_slots += doc.words.size();
-    docs.push_back({next_record_id_++, std::move(serialized)});
+    DocBytes stored_bytes = writer.Add(next_record_id_++, doc);
+    if (integrity) {
+      leaves.push_back(crypto::MerkleTree::LeafHash(stored_bytes.data(),
+                                                    stored_bytes.size()));
+    }
   }
-  stored.docs.AppendChunk(SnapshotChunk::Sealed(std::move(docs)));
+  writer.Finish();
   if (integrity) {
     stored.tree.Assign(std::move(leaves));
     stored.epoch = 1;
@@ -583,6 +561,20 @@ protocol::CompletenessProof BuildCompletenessFromParts(
   return proof;
 }
 
+/// The typed API's view of stored documents: each parsed from its bytes.
+Result<std::vector<swp::EncryptedDocument>> ParseStored(
+    const std::vector<DocBytes>& stored) {
+  std::vector<swp::EncryptedDocument> docs;
+  docs.reserve(stored.size());
+  for (DocBytes bytes : stored) {
+    ByteReader reader(bytes);
+    DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument doc,
+                          swp::EncryptedDocument::ReadFrom(&reader));
+    docs.push_back(std::move(doc));
+  }
+  return docs;
+}
+
 }  // namespace
 
 runtime::ThreadPool* UntrustedServer::pool() {
@@ -605,10 +597,16 @@ UntrustedServer::SelectBatch(const std::vector<core::EncryptedQuery>& queries) {
   RequestScratch scratch;
   std::vector<SnapshotSelectOutcome> outcomes =
       SnapshotSelectBatch(*snap, queries, &scratch);
+  // The typed API parses its results here, while `snap` still pins the
+  // chunks the matched bytes live in.
   std::vector<Result<std::vector<swp::EncryptedDocument>>> results;
   results.reserve(outcomes.size());
   for (SnapshotSelectOutcome& outcome : outcomes) {
-    results.push_back(std::move(outcome.docs));
+    if (!outcome.docs.ok()) {
+      results.push_back(outcome.docs.status());
+      continue;
+    }
+    results.push_back(ParseStored(*outcome.docs));
   }
   TryMemoizeFromSnapshot(scratch.memo);
   return results;
@@ -682,14 +680,8 @@ UntrustedServer::SnapshotSelectBatch(
     QueryState& st = states[i];
     if (st.rel == nullptr || st.postings != nullptr) continue;
     ++scan_queries;
-    Status status = st.rel->Scan(queries[i].trapdoor, ShardCount(), pool(),
-                                 &st.matches, &batch_match_evals);
-    if (!status.ok()) {
-      st.matches.clear();
-      st.failed = true;
-      results[i].docs = status;
-      continue;
-    }
+    st.rel->Scan(queries[i].trapdoor, ShardCount(), pool(), &st.matches,
+                 &batch_match_evals);
     if (st.will_memoize) {
       MemoCandidate candidate;
       candidate.relation = queries[i].relation;
@@ -747,14 +739,14 @@ UntrustedServer::SnapshotSelectBatch(
       results[i].tag = crypto::SearchTree::TagDigest(st.trapdoor_bytes);
       results[i].has_tag = true;
     }
-    std::vector<swp::EncryptedDocument> docs;
+    std::vector<DocBytes> docs;
     docs.reserve(st.matches.size());
-    for (SnapshotMatch& match : st.matches) {
+    for (const SnapshotMatch& match : st.matches) {
       observation.matched_records.push_back(match.record_id);
       if (st.rel->tree != nullptr) {
         results[i].positions.push_back(match.position);
       }
-      docs.push_back(std::move(match.doc));
+      docs.push_back(match.bytes);
     }
     if (auditor_ != nullptr) {
       auditor_->RecordQuery(queries[i].relation, observation.trapdoor_bytes,
@@ -820,7 +812,7 @@ Result<protocol::PlanReport> UntrustedServer::ExplainFromSnapshot(
     report.will_memoize = !rel.index->AtCapacity();
   }
   // Scan path: every stored word slot is matched exactly once.
-  report.match_evals = rel.word_slots;
+  report.match_evals = rel.num_words;
   return report;
 }
 
@@ -847,25 +839,30 @@ Status UntrustedServer::AppendTuplesLocked(
   if (integrity && search_delta != nullptr) {
     // All-or-nothing, BEFORE any document is stored: a malformed delta
     // rejects the append with both trees untouched.
-    const uint64_t begin = stored.num_docs();
+    const uint64_t begin = stored.docs.num_docs;
     DBPH_RETURN_IF_ERROR(stored.search.ApplyAppendDelta(
         *search_delta, begin, begin + documents.size()));
   }
   std::vector<std::pair<uint64_t, const swp::EncryptedDocument*>> added;
   added.reserve(documents.size());
+  // One new chunk after the shared old ones, so the publish is
+  // O(appended) — until the chunk budget is spent and the relation is
+  // coalesced back into one chunk.
+  ChunkWriter writer(&stored.docs);
+  writer.Reserve(documents);
   for (const auto& doc : documents) {
-    Bytes serialized;
-    doc.AppendTo(&serialized);
-    bytes += serialized.size();
     const uint64_t record_id = next_record_id_++;
+    DocBytes stored_bytes = writer.Add(record_id, doc);
+    bytes += stored_bytes.size();
     if (integrity) {
-      stored.tree.AppendLeaf(crypto::MerkleTree::LeafHash(serialized));
+      stored.tree.AppendLeaf(crypto::MerkleTree::LeafHash(
+          stored_bytes.data(), stored_bytes.size()));
     }
-    stored.word_slots += doc.words.size();
     added.emplace_back(record_id, &doc);
-    // Staged so the publish is O(appended): old chunks shared, these
-    // become one new chunk.
-    stored.pending_append.push_back({record_id, std::move(serialized)});
+  }
+  writer.Finish();
+  if (stored.docs.chunks.size() > kMaxSnapshotChunks) {
+    stored.docs = stored.docs.Compacted({});
   }
   // Every append (even an empty one) is an epoch: the client mirrors the
   // same rule, so epochs agree without a negotiation round trip.
@@ -901,14 +898,11 @@ Result<size_t> UntrustedServer::DeleteWhereInternal(
   StoredRelation& stored = it->second;
   const bool integrity = runtime_options_.enable_integrity;
 
-  // The same sharded scan a select runs, over every stored document
-  // (pending appends sealed first). It fails before anything changes,
-  // so a corrupt document cannot leave a half-applied delete.
-  SealPendingLocked(&stored);
+  // The same sharded scan a select runs, over every stored document.
   std::vector<SnapshotMatch> matches;
   uint64_t match_evals = 0;
-  DBPH_RETURN_IF_ERROR(stored.docs.Scan(query.trapdoor, ShardCount(), pool(),
-                                        &matches, &match_evals));
+  stored.docs.Scan(query.trapdoor, ShardCount(), pool(), &matches,
+                   &match_evals);
 
   QueryObservation observation;
   observation.relation = query.relation;
@@ -918,35 +912,16 @@ Result<size_t> UntrustedServer::DeleteWhereInternal(
   std::vector<uint64_t> removed_positions;
   for (const SnapshotMatch& match : matches) {
     observation.matched_records.push_back(match.record_id);
-    stored.word_slots -= match.doc.words.size();
-    if (integrity) {
-      removed_positions.push_back(match.position);
-      if (removed_out != nullptr) {
-        removed_out->emplace_back(match.position,
-                                  stored.docs.doc(match.position).bytes);
-      }
+    removed_positions.push_back(match.position);
+    if (removed_out != nullptr) {
+      removed_out->emplace_back(match.position,
+                                Bytes(match.bytes.begin(), match.bytes.end()));
     }
   }
   const size_t removed = matches.size();
   if (removed > 0) {
     // The survivors, in storage order, become the relation's one chunk.
-    std::vector<SnapshotDoc> kept;
-    kept.reserve(stored.docs.num_docs - removed);
-    size_t next_match = 0;
-    for (const auto& chunk : stored.docs.chunks) {
-      for (const SnapshotDoc& doc : chunk->docs) {
-        if (next_match < removed &&
-            matches[next_match].record_id == doc.record_id) {
-          ++next_match;
-          continue;
-        }
-        kept.push_back(doc);
-      }
-    }
-    DocumentChunks survivors;
-    survivors.check_length = stored.docs.check_length;
-    survivors.AppendChunk(SnapshotChunk::Sealed(std::move(kept)));
-    stored.docs = std::move(survivors);
+    stored.docs = stored.docs.Compacted(removed_positions);
   }
   if (runtime_options_.enable_metrics) {
     scratch->trace.relation = query.relation;
@@ -989,14 +964,12 @@ Result<std::vector<swp::EncryptedDocument>> UntrustedServer::FetchRelation(
   if (it == snap->relations.end()) {
     return Status::NotFound("relation '" + name + "' not stored");
   }
-  const RelationSnapshot& rel = *it->second;
-  std::vector<swp::EncryptedDocument> documents;
-  documents.reserve(rel.num_docs);
-  for (uint64_t pos = 0; pos < rel.num_docs; ++pos) {
-    DBPH_ASSIGN_OR_RETURN(swp::EncryptedDocument doc, rel.ParseDoc(pos));
-    documents.push_back(std::move(doc));
+  std::vector<DocBytes> stored;
+  stored.reserve(it->second->num_docs);
+  for (const auto& chunk : it->second->chunks) {
+    for (size_t i = 0; i < chunk->size(); ++i) stored.push_back(chunk->doc(i));
   }
-  return documents;
+  return ParseStored(stored);
 }
 
 Result<Bytes> UntrustedServer::SerializeState() const {
@@ -1009,14 +982,9 @@ Result<Bytes> UntrustedServer::SerializeState() const {
     // (they ARE each document's serialized form).
     AppendLengthPrefixed(&out, ToBytes(name));
     AppendUint32(&out, stored.docs.check_length);
-    AppendUint32(&out, static_cast<uint32_t>(stored.num_docs()));
+    AppendUint32(&out, static_cast<uint32_t>(stored.docs.num_docs));
     for (const auto& chunk : stored.docs.chunks) {
-      for (const SnapshotDoc& doc : chunk->docs) {
-        out.insert(out.end(), doc.bytes.begin(), doc.bytes.end());
-      }
-    }
-    for (const SnapshotDoc& doc : stored.pending_append) {
-      out.insert(out.end(), doc.bytes.begin(), doc.bytes.end());
+      out.insert(out.end(), chunk->bytes.begin(), chunk->bytes.end());
     }
     // v2: integrity state rides along. The tree itself is NOT persisted
     // — it is a deterministic function of the ciphertext and rebuilds on
@@ -1146,13 +1114,15 @@ namespace {
 /// parse them from the remainder (the completeness proof rides only
 /// after a row proof, never alone).
 protocol::Envelope MakeSelectResultEnvelope(
-    const std::vector<swp::EncryptedDocument>& docs,
-    const protocol::ResultProof* proof,
+    const std::vector<DocBytes>& docs, const protocol::ResultProof* proof,
     const protocol::CompletenessProof* completeness) {
   protocol::Envelope response;
   response.type = protocol::MessageType::kSelectResult;
   AppendUint32(&response.payload, static_cast<uint32_t>(docs.size()));
-  for (const auto& doc : docs) doc.AppendTo(&response.payload);
+  // The stored bytes ARE each document's serialized form.
+  for (DocBytes doc : docs) {
+    response.payload.insert(response.payload.end(), doc.begin(), doc.end());
+  }
   if (proof != nullptr) proof->AppendTo(&response.payload);
   if (proof != nullptr && completeness != nullptr) {
     completeness->AppendTo(&response.payload);
@@ -1475,12 +1445,11 @@ protocol::Envelope UntrustedServer::DispatchRead(
       Envelope response;
       response.type = MessageType::kFetchResult;
       AppendUint32(&response.payload, static_cast<uint32_t>(rel.num_docs));
-      for (uint64_t pos = 0; pos < rel.num_docs; ++pos) {
-        // The frozen bytes ARE the serialized form — appending them is
-        // byte-identical to re-serializing a parsed document.
-        const Bytes& doc_bytes = rel.doc(pos).bytes;
-        response.payload.insert(response.payload.end(), doc_bytes.begin(),
-                                doc_bytes.end());
+      for (const auto& chunk : rel.chunks) {
+        // The frozen bytes ARE the documents' serialized forms, back to
+        // back — byte-identical to re-serializing parsed documents.
+        response.payload.insert(response.payload.end(), chunk->bytes.begin(),
+                                chunk->bytes.end());
       }
       if (rel.tree != nullptr) {
         // Whole-relation completeness proof: positions [0, n) — the

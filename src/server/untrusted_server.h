@@ -250,8 +250,7 @@ class UntrustedServer {
   /// in its own checkpoint header and already holds the dispatch lock
   /// via WithDispatchLock when it calls this). Caller-locked: must run
   /// under the dispatch lock or on an otherwise-quiescent server. Reads
-  /// the live relations' chunks (plus any unpublished appends), never
-  /// the published snapshot.
+  /// the live relations' chunks, never the published snapshot.
   Result<Bytes> SerializeState() const;
 
   /// Restores from a SerializeState image. Parses fully before mutating,
@@ -333,11 +332,12 @@ class UntrustedServer {
   struct StoredRelation {
     /// The relation's documents in storage order — the server's only
     /// copy of its ciphertext: sealed chunks, shared with every snapshot
-    /// that published them, followed by pending_append (documents
-    /// appended since the last publish, so an append republishes
-    /// O(appended) instead of O(n)). check_length lives in `docs`.
+    /// that published them. Store and delete write the relation as one
+    /// chunk, each append adds one (so its publish is O(appended)), and
+    /// an append past kMaxSnapshotChunks coalesces them back into one.
+    /// check_length, the document count and the word-slot count (what
+    /// EXPLAIN predicts a scan evaluates) live in `docs` too.
     DocumentChunks docs;
-    std::vector<SnapshotDoc> pending_append;
     /// Trapdoor → posting-list memo for this relation. Volatile cache:
     /// dies with the relation (Drop), starts cold after RestoreState /
     /// recovery (deterministic rebuild as queries repeat), and is
@@ -374,11 +374,6 @@ class UntrustedServer {
     /// the "dbph-search-root-v1" domain; deposited by the extended
     /// kAttestRoot alongside root_signature, same staleness rule.
     Bytes search_signature;
-    /// Total word slots across all stored documents — the predicted PRF
-    /// evaluation count a full scan reports (EXPLAIN match_evals).
-    /// Maintained by store/append/delete.
-    uint64_t word_slots = 0;
-
     // ---- snapshot publication state (under the dispatch lock) ----
 
     /// The last published frozen view of this relation (what readers
@@ -388,14 +383,14 @@ class UntrustedServer {
     /// Stamp of the last document-state change (drawn from the
     /// server-wide counter, so a drop + re-store never reuses a value).
     uint64_t doc_generation = 0;
-
-    size_t num_docs() const { return docs.num_docs + pending_append.size(); }
   };
 
   /// One select's outcome; `rel` (borrowed from the pinned snapshot,
-  /// which the caller keeps alive) is the proof source.
+  /// which the caller keeps alive) is the proof source, and `docs` are
+  /// the matched documents' stored bytes in that snapshot's chunks — the
+  /// caller copies them out before dropping its pin.
   struct SnapshotSelectOutcome {
-    Result<std::vector<swp::EncryptedDocument>> docs;
+    Result<std::vector<DocBytes>> docs;
     std::vector<uint64_t> positions;
     const RelationSnapshot* rel = nullptr;
     /// The queried trapdoor's search-tree tag (set when integrity is
@@ -575,11 +570,6 @@ class UntrustedServer {
   /// with it); `documents_changed` also stamps a new doc_generation.
   void MarkDirtyLocked(StoredRelation* stored, bool documents_changed);
 
-  /// Seals `stored`'s pending appends into one new chunk at the end of
-  /// its document list — or, past the chunk budget, coalesces the whole
-  /// list into one chunk.
-  void SealPendingLocked(StoredRelation* stored);
-
   /// Republishes every dirty relation — sharing document chunks with
   /// the previous snapshot — then swaps a fresh ServerSnapshot. No-op
   /// when nothing is stale.
@@ -618,6 +608,7 @@ class UntrustedServer {
     obs::Histogram* select_total = nullptr;
     obs::Histogram* select_result_size = nullptr;
     obs::Gauge* relations = nullptr;
+    obs::Gauge* snapshot_chunks = nullptr;
     obs::Gauge* index_trapdoors = nullptr;
     obs::Gauge* index_postings = nullptr;
     obs::Gauge* index_hits = nullptr;
@@ -636,8 +627,10 @@ class UntrustedServer {
 
   static constexpr size_t kPendingRingSize = 128;
 
-  /// Chunk budget before an append-publish coalesces a relation's
-  /// snapshot back into one chunk (bounds PositionOf's probe count).
+  /// Chunk budget before an append coalesces a relation's documents
+  /// back into one chunk: every chunk costs each scan shard that crosses
+  /// it a MatchMany call and a chunk lookup, so a long append stream
+  /// must not fragment the relation without bound.
   static constexpr size_t kMaxSnapshotChunks = 16;
 
   /// Completes `scratch->cur` from `scratch->trace`, stages it as a ring

@@ -15,9 +15,10 @@ namespace dbph {
 namespace swp {
 
 /// \brief One candidate ciphertext word inside a contiguous arena:
-/// `length` bytes starting at `offset`. The storage layer keeps every
-/// relation's word ciphertexts in such an arena so a scan streams
-/// linearly instead of pointer-chasing per-word heap vectors.
+/// `length` bytes starting at `offset`. The server's arena is a chunk of
+/// stored documents, serialized back to back, with refs pointing at the
+/// word ciphertexts in place, so a scan streams linearly instead of
+/// pointer-chasing per-word heap vectors.
 struct WordRef {
   uint32_t offset = 0;
   uint32_t length = 0;
@@ -30,10 +31,11 @@ struct WordRef {
 /// nothing allocated beyond `out`'s growth. Returns the word count.
 ///
 /// Performs exactly the bounds checks EncryptedDocument::ReadFrom does,
-/// so it fails on precisely the inputs ReadFrom fails on (callers that
-/// need ReadFrom's exact error status re-parse on failure; the scan
-/// paths do).
-Result<size_t> CollectWordRefs(const Bytes& serialized,
+/// so it fails on precisely the inputs ReadFrom fails on. The server's
+/// ChunkWriter runs it over each document it has just serialized into a
+/// chunk, so the only code that knows the layout is AppendTo/ReadFrom
+/// and this walk.
+Result<size_t> CollectWordRefs(std::span<const uint8_t> serialized,
                                std::vector<WordRef>* out);
 
 /// \brief The hot-scan matcher: everything derivable from a (params,

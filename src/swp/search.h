@@ -35,6 +35,8 @@ struct EncryptedDocument {
   Bytes MacTag(const crypto::HmacSha256Precomputed& mac_schedule) const;
 
   void AppendTo(Bytes* out) const;
+  /// Length of AppendTo's output.
+  size_t SerializedSize() const;
   static Result<EncryptedDocument> ReadFrom(ByteReader* reader);
 };
 

@@ -66,21 +66,19 @@ TEST(ThreadPoolTest, ParallelForFromWithinATaskDoesNotDeadlock) {
   EXPECT_EQ(total.load(), 32);
 }
 
-/// `docs` serialized into sealed chunks of at most `per_chunk` documents
+/// `docs` written into sealed chunks of at most `per_chunk` documents
 /// (record id = position + 1), the layout appends build.
 server::DocumentChunks Chunked(const std::vector<swp::EncryptedDocument>& docs,
                                uint32_t check_length, size_t per_chunk) {
   server::DocumentChunks chunks;
   chunks.check_length = check_length;
   for (size_t first = 0; first < docs.size(); first += per_chunk) {
-    std::vector<server::SnapshotDoc> run;
+    server::ChunkWriter writer(&chunks);
     for (size_t i = first; i < std::min(first + per_chunk, docs.size());
          ++i) {
-      Bytes serialized;
-      docs[i].AppendTo(&serialized);
-      run.push_back({i + 1, std::move(serialized)});
+      writer.Add(i + 1, docs[i]);
     }
-    chunks.AppendChunk(server::SnapshotChunk::Sealed(std::move(run)));
+    writer.Finish();
   }
   return chunks;
 }
@@ -114,18 +112,14 @@ TEST(DocumentScanTest, AnyShardCountReproducesSequentialScan) {
     for (size_t shards : {1u, 2u, 3u, 7u, 101u, 500u}) {
       for (bool pooled : {false, true}) {
         std::vector<server::SnapshotMatch> got;
-        ASSERT_TRUE(chunks
-                        .Scan(query->trapdoor, shards,
-                              pooled ? &pool : nullptr, &got)
-                        .ok());
+        chunks.Scan(query->trapdoor, shards, pooled ? &pool : nullptr, &got);
         ASSERT_EQ(got.size(), expected.size()) << shards << " shards";
         for (size_t i = 0; i < got.size(); ++i) {
           EXPECT_EQ(got[i].position, expected[i]);
           EXPECT_EQ(got[i].record_id, expected[i] + 1);
-          Bytes a, b;
-          got[i].doc.AppendTo(&a);
+          Bytes b;
           encrypted->documents[expected[i]].AppendTo(&b);
-          EXPECT_EQ(a, b);
+          EXPECT_EQ(Bytes(got[i].bytes.begin(), got[i].bytes.end()), b);
         }
       }
     }
@@ -295,8 +289,7 @@ TEST(DocumentScanTest, NullPoolRunsInline) {
   ASSERT_TRUE(query.ok());
 
   std::vector<server::SnapshotMatch> matches;
-  ASSERT_TRUE(
-      chunks.Scan(query->trapdoor, 3, /*pool=*/nullptr, &matches).ok());
+  chunks.Scan(query->trapdoor, 3, /*pool=*/nullptr, &matches);
   EXPECT_EQ(matches.size(), 3u);  // 30 rows, grp = i % 10
 }
 

@@ -199,5 +199,64 @@ TEST_F(PersistenceTest, RecordIdsAreNeverReusedAndRestoreIsDeterministic) {
   EXPECT_EQ(restored_ids[0], restored_ids[1]);
 }
 
+TEST(RecordIdOrderTest, IdsStrictlyIncreaseInStorageOrder) {
+  // Every row shares dept "X", so a select on it matches the whole
+  // relation and Eve logs its record ids in storage order. The index is
+  // off so each select is a fresh scan of the stored chunks.
+  server::ServerRuntimeOptions options;
+  options.enable_trapdoor_index = false;
+  server::UntrustedServer server(options);
+  crypto::HmacDrbg rng("persist-order", 1);
+  client::Client client(
+      ToBytes("persist master"),
+      [&server](const Bytes& request) { return server.HandleRequest(request); },
+      &rng);
+  const auto expect_increasing = [](server::UntrustedServer* s,
+                                     const core::EncryptedQuery& query,
+                                     size_t rows, const char* step) {
+    ASSERT_TRUE(s->Select(query).ok()) << step;
+    const std::vector<uint64_t>& ids =
+        s->observations().queries().back().matched_records;
+    ASSERT_EQ(ids.size(), rows) << step;
+    for (size_t i = 1; i < ids.size(); ++i) {
+      EXPECT_LT(ids[i - 1], ids[i]) << step << " at storage position " << i;
+    }
+  };
+  Relation emp("Emp", EmpSchema());
+  for (const char* name : {"Ames", "Baker", "Cole"}) {
+    ASSERT_TRUE(emp.Insert({Value::Str(name), Value::Str("X")}).ok());
+  }
+  ASSERT_TRUE(client.Outsource(emp).ok());
+  auto scheme = client.SchemeFor("Emp");
+  ASSERT_TRUE(scheme.ok());
+  auto everyone = (*scheme)->EncryptQuery("Emp", "dept", Value::Str("X"));
+  ASSERT_TRUE(everyone.ok());
+  expect_increasing(&server, *everyone, 3, "store");
+
+  ASSERT_TRUE(
+      client.Insert("Emp", {Tuple({Value::Str("Dunn"), Value::Str("X")})})
+          .ok());
+  expect_increasing(&server, *everyone, 4, "append");
+
+  ASSERT_TRUE(client.DeleteWhere("Emp", "name", Value::Str("Baker")).ok());
+  expect_increasing(&server, *everyone, 3, "delete");
+
+  // 17 one-row appends: more chunks than the budget, so the relation
+  // is coalesced on the way.
+  for (int i = 0; i < 17; ++i) {
+    ASSERT_TRUE(client
+                    .Insert("Emp", {Tuple({Value::Str("n" + std::to_string(i)),
+                                           Value::Str("X")})})
+                    .ok());
+  }
+  expect_increasing(&server, *everyone, 20, "coalesce");
+
+  auto image = server.SerializeState();
+  ASSERT_TRUE(image.ok());
+  server::UntrustedServer restored(options);
+  ASSERT_TRUE(restored.RestoreState(*image).ok());
+  expect_increasing(&restored, *everyone, 20, "restore");
+}
+
 }  // namespace
 }  // namespace dbph
